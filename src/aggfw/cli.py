@@ -9,10 +9,12 @@ success, 2 on configuration errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,35 +81,23 @@ def write_csv(path: str, rows: list[dict]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def fw_rows(records) -> list[dict]:
+def _rows(records) -> list[dict]:
+    """CSV rows of FW or SFW records.
+
+    The draw columns stay empty for FW records, which have no draws, and
+    for the SFW terminal record, the only one with zero draws.
+    """
     rows = []
     for rec in records:
+        n_draws = getattr(rec, "n_draws", 0)
         rows.append(
             {
                 "k": rec.k,
                 "value": rec.objective,
                 "beta": rec.beta,
                 "omega": rec.omega,
-                "n_k": None,
-                "active_count": None,
-                "wall_ms": rec.wall_ms,
-            }
-        )
-    return rows
-
-
-def sfw_rows(records) -> list[dict]:
-    rows = []
-    for rec in records:
-        terminal = math.isnan(rec.omega) and rec.n_draws == 0
-        rows.append(
-            {
-                "k": rec.k,
-                "value": rec.objective,
-                "beta": rec.beta,
-                "omega": rec.omega,
-                "n_k": None if terminal else rec.n_draws,
-                "active_count": None if terminal else rec.active_count,
+                "n_k": n_draws or None,
+                "active_count": rec.active_count if n_draws else None,
                 "wall_ms": rec.wall_ms,
             }
         )
@@ -282,12 +272,81 @@ def _load_problem(merged: dict) -> MiqpInstance:
         raise ConfigError(f"cannot load instance from {path}: {exc}") from exc
 
 
-def _reference_gap_values(problem: MiqpInstance, records) -> tuple[list[float], list[float]]:
+def _iters(merged: dict, command: str, minimum: int) -> int:
+    """The --iters value, checked once for every subcommand that reads it."""
+    value = _require(merged, "iters")
+    try:
+        n_iters = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad iteration count {value!r}: {exc}") from exc
+    if n_iters < minimum:
+        need = "at least one iteration" if minimum else "a nonnegative iteration count"
+        raise ConfigError(f"{command} needs {need}")
+    return n_iters
+
+
+def _reference_value(problem: MiqpInstance) -> float:
     tol = 1e-7 if problem.n_agents >= 100 else 1e-9
-    reference = problem.relaxed_optimum(tol=tol)
-    ks = [rec.k for rec in records]
-    gaps = [rec.objective - reference.value for rec in records]
-    return ks, gaps
+    return problem.relaxed_optimum(tol=tol).value
+
+
+@dataclass(frozen=True)
+class _RunSpec:
+    """A validated run configuration; ``algorithm`` is ``fw`` or ``sfw``."""
+
+    problem: MiqpInstance
+    n_iters: int
+    algorithm: str
+    rule: CanonicalStep | LineSearchFwStep | LineSearchSfwStep
+    schedule: ConstantSchedule | QuadraticSchedule
+    stopping: bool
+    keep_if_worse: bool
+
+
+def _parse_run(merged: dict, command: str) -> _RunSpec:
+    """Validate the options of ``run-fw``, ``run-sfw`` and ``sweep``."""
+    problem = _load_problem(merged)
+    n_iters = _iters(merged, command, 1 if command == "sweep" else 0)
+    algorithm = {"run-fw": "fw", "run-sfw": "sfw"}.get(command) or merged.get("algorithm", "sfw")
+    if algorithm not in ("fw", "sfw"):
+        raise ConfigError(f"unknown algorithm {algorithm!r} (expected fw or sfw)")
+    stopping = bool(merged.get("stopping_time"))
+    scheduled = merged.get("schedule") is not None
+    if stopping and algorithm != "sfw":
+        raise ConfigError("--stopping-time implies the sfw algorithm")
+    if scheduled and algorithm != "sfw":
+        raise ConfigError("--schedule implies the sfw algorithm")
+    if stopping and scheduled:
+        raise ConfigError("--stopping-time chooses its own draw counts; drop --schedule")
+    rule_name = merged.get("rule", "canonical")
+    foreign, solver = ("ls-sfw", "stochastic") if algorithm == "fw" else ("ls-fw", "deterministic")
+    if rule_name == foreign:
+        where = "" if command == "sweep" else f", not {command}"
+        raise ConfigError(f"the {foreign} rule drives the {solver} solver{where}")
+    keep = merged.get("keep_if_worse")
+    return _RunSpec(
+        problem,
+        n_iters,
+        algorithm,
+        rule=parse_rule(rule_name, problem),
+        schedule=parse_schedule(merged.get("schedule") or "const:1"),
+        stopping=stopping,
+        keep_if_worse=True if keep is None else bool(keep),
+    )
+
+
+def _run(spec: _RunSpec, seed: int):
+    """One solver run under ``seed``: the final iterate and the CSV rows."""
+    if spec.algorithm == "fw":
+        profile, records = fw_run(spec.problem, spec.n_iters, rule=spec.rule)
+    elif spec.stopping:
+        profile, records = stopping_time_run(spec.problem, spec.n_iters, seed)
+    else:
+        profile, records = sfw_run(
+            spec.problem, spec.n_iters, spec.schedule, seed,
+            rule=spec.rule, keep_if_worse=spec.keep_if_worse,
+        )
+    return profile, _rows(records)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -310,135 +369,68 @@ def cmd_generate(merged: dict) -> int:
     return EXIT_OK
 
 
-def cmd_run_fw(merged: dict) -> int:
-    problem = _load_problem(merged)
-    n_iters = int(_require(merged, "iters"))
+_CHARTS = {  # algorithm -> (series label, title)
+    "fw": ("relaxed gap", "Frank-Wolfe convergence"),
+    "sfw": ("objective gap", "Stochastic Frank-Wolfe convergence"),
+}
+
+
+def cmd_run(merged: dict, command: str) -> int:
+    """``run-fw`` and ``run-sfw``: one seed, one CSV, an optional chart."""
+    spec = _parse_run(merged, command)
     seeds = parse_seeds(merged.get("seeds", "0"))
     if len(seeds) != 1:
-        raise ConfigError("run-fw takes exactly one seed")
-    rule_name = merged.get("rule", "canonical")
-    if rule_name == "ls-sfw":
-        raise ConfigError("the ls-sfw rule drives the stochastic solver, not run-fw")
+        raise ConfigError(f"{command} takes exactly one seed")
+    name = spec.algorithm
     out_dir = _require(merged, "out")
-    csv_path = os.path.join(out_dir, "fw.csv")
-    if n_iters == 0:
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    if spec.n_iters == 0:
         write_csv(csv_path, [])
         print(f"empty run: wrote header-only {csv_path}")
         return EXIT_OK
-    rule = parse_rule(rule_name, problem)
-    profile, records = fw_run(problem, n_iters, rule=rule)
-    write_csv(csv_path, fw_rows(records))
-    print(f"fw: {n_iters} iterations, final relaxed objective {records[-1].objective:.6g}, "
-          f"final dual gap {records[-1].beta:.3g}")
+    profile, rows = _run(spec, seeds[0])
+    write_csv(csv_path, rows)
+    final = rows[-1]
+    if name == "fw":
+        print(f"fw: {spec.n_iters} iterations, final relaxed objective {final['value']:.6g}, "
+              f"final dual gap {final['beta']:.3g}")
+    else:
+        print(f"sfw: {spec.n_iters} iterations, final objective {final['value']:.6g}")
     print(f"wrote {csv_path}")
 
     select_n = int(merged.get("select_n") or 0)
-    if select_n > 0:
+    if name == "fw" and select_n > 0:
         decisions, value = select_best(
-            problem, profile, select_n, _rng.stream(seeds[0], _rng.SELECTION, 0, n_iters)
+            spec.problem, profile, select_n,
+            _rng.stream(seeds[0], _rng.SELECTION, 0, spec.n_iters),
         )
         print(f"selection over {select_n} draws: J = {value:.6g}")
     if merged.get("svg"):
-        ks, gaps = _reference_gap_values(problem, records)
+        reference = _reference_value(spec.problem)
+        label, title = _CHARTS[name]
+        svg_path = os.path.join(out_dir, f"{name}.svg")
         render_line_chart(
-            os.path.join(out_dir, "fw.svg"),
-            [("relaxed gap", ks, gaps)],
-            title="Frank-Wolfe convergence",
+            svg_path,
+            [(label, [row["k"] for row in rows], [row["value"] - reference for row in rows])],
+            title=title,
             x_label="iteration k",
             y_label="gap",
         )
-        print(f"wrote {os.path.join(out_dir, 'fw.svg')}")
-    return EXIT_OK
-
-
-def cmd_run_sfw(merged: dict) -> int:
-    problem = _load_problem(merged)
-    n_iters = int(_require(merged, "iters"))
-    seeds = parse_seeds(merged.get("seeds", "0"))
-    if len(seeds) != 1:
-        raise ConfigError("run-sfw takes exactly one seed")
-    stopping = bool(merged.get("stopping_time"))
-    if stopping and merged.get("schedule") is not None:
-        raise ConfigError("--stopping-time chooses its own draw counts; drop --schedule")
-    out_dir = _require(merged, "out")
-    csv_path = os.path.join(out_dir, "sfw.csv")
-    if n_iters == 0:
-        write_csv(csv_path, [])
-        print(f"empty run: wrote header-only {csv_path}")
-        return EXIT_OK
-    keep = merged.get("keep_if_worse")
-    keep = True if keep is None else bool(keep)
-    if stopping:
-        profile, records = stopping_time_run(problem, n_iters, seeds[0])
-    else:
-        rule_name = merged.get("rule", "canonical")
-        if rule_name == "ls-fw":
-            raise ConfigError("the ls-fw rule drives the deterministic solver, not run-sfw")
-        rule = parse_rule(rule_name, problem)
-        schedule = parse_schedule(merged.get("schedule") or "const:1")
-        profile, records = sfw_run(
-            problem, n_iters, schedule, seeds[0], rule=rule, keep_if_worse=keep
-        )
-    write_csv(csv_path, sfw_rows(records))
-    print(f"sfw: {n_iters} iterations, final objective {records[-1].objective:.6g}")
-    print(f"wrote {csv_path}")
-    if merged.get("svg"):
-        ks, gaps = _reference_gap_values(problem, records)
-        render_line_chart(
-            os.path.join(out_dir, "sfw.svg"),
-            [("objective gap", ks, gaps)],
-            title="Stochastic Frank-Wolfe convergence",
-            x_label="iteration k",
-            y_label="gap",
-        )
-        print(f"wrote {os.path.join(out_dir, 'sfw.svg')}")
+        print(f"wrote {svg_path}")
     return EXIT_OK
 
 
 def cmd_sweep(merged: dict) -> int:
-    problem = _load_problem(merged)
-    n_iters = int(_require(merged, "iters"))
-    if n_iters < 1:
-        raise ConfigError("sweep needs at least one iteration")
+    spec = _parse_run(merged, "sweep")
     seeds = parse_seeds(_require(merged, "seeds"))
-    algorithm = merged.get("algorithm", "sfw")
-    if algorithm not in ("fw", "sfw"):
-        raise ConfigError(f"unknown algorithm {algorithm!r} (expected fw or sfw)")
-    stopping = bool(merged.get("stopping_time"))
-    if stopping and algorithm != "sfw":
-        raise ConfigError("--stopping-time implies the sfw algorithm")
-    if merged.get("schedule") is not None and algorithm != "sfw":
-        raise ConfigError("--schedule implies the sfw algorithm")
     out_dir = _require(merged, "out")
-    keep = merged.get("keep_if_worse")
-    keep = True if keep is None else bool(keep)
-
-    tol = 1e-7 if problem.n_agents >= 100 else 1e-9
-    reference = problem.relaxed_optimum(tol=tol)
+    reference = _reference_value(spec.problem)
 
     per_seed = []
     for seed in seeds:
-        if algorithm == "fw":
-            rule_name = merged.get("rule", "canonical")
-            if rule_name == "ls-sfw":
-                raise ConfigError("the ls-sfw rule drives the stochastic solver")
-            _, records = fw_run(problem, n_iters, rule=parse_rule(rule_name, problem))
-            rows = fw_rows(records)
-        elif stopping:
-            _, records = stopping_time_run(problem, n_iters, seed)
-            rows = sfw_rows(records)
-        else:
-            rule_name = merged.get("rule", "canonical")
-            if rule_name == "ls-fw":
-                raise ConfigError("the ls-fw rule drives the deterministic solver")
-            schedule = parse_schedule(merged.get("schedule") or "const:1")
-            _, records = sfw_run(
-                problem, n_iters, schedule, seed,
-                rule=parse_rule(rule_name, problem), keep_if_worse=keep,
-            )
-            rows = sfw_rows(records)
+        _, rows = _run(spec, seed)
         write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), rows)
-        per_seed.append(np.array([rec.objective - reference.value for rec in records]))
+        per_seed.append(np.array([row["value"] - reference for row in rows]))
 
     gaps = np.stack(per_seed)  # (seeds, iterations + 1)
     lines = ["k,mean,std,min,max,count"]
@@ -460,7 +452,7 @@ def cmd_sweep(merged: dict) -> int:
                 ("mean gap", ks, gaps.mean(axis=0).tolist()),
                 ("max gap", ks, gaps.max(axis=0).tolist()),
             ],
-            title=f"{algorithm} sweep over {len(seeds)} seeds",
+            title=f"{spec.algorithm} sweep over {len(seeds)} seeds",
             x_label="iteration k",
             y_label="gap",
         )
@@ -483,7 +475,7 @@ def cmd_bounds(merged: dict) -> int:
     problem = _load_problem(merged)
     constants = compute_constants(problem)
     n = constants.n_agents
-    n_iters = int(merged.get("iters") or min(2 * n, 200))
+    n_iters = _iters(merged, "bounds", 1) if merged.get("iters") is not None else min(2 * n, 200)
     schedule_text = merged.get("schedule") or "const:1"
     schedule = parse_schedule(schedule_text)
     eps_list = _parse_float_list(merged.get("eps"), [gap_bound_basic(constants)])
@@ -559,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output JSON path")
     gen.add_argument("--config", help="JSON config file (command line wins)")
 
-    def add_run_options(p, with_fw_rule: bool):
+    def add_run_options(p):
         p.add_argument("--instance", help="instance JSON path")
         p.add_argument("--iters", type=int, help="iteration count K")
         p.add_argument("--seeds", help="comma-separated seed list")
@@ -579,11 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render an SVG chart")
         p.add_argument("--config", help="JSON config file (command line wins)")
 
-    add_run_options(sub.add_parser("run-fw", help="one deterministic Frank-Wolfe run"), True)
-    add_run_options(sub.add_parser("run-sfw", help="one stochastic Frank-Wolfe run"), False)
+    add_run_options(sub.add_parser("run-fw", help="one deterministic Frank-Wolfe run"))
+    add_run_options(sub.add_parser("run-sfw", help="one stochastic Frank-Wolfe run"))
 
     sweep = sub.add_parser("sweep", help="multi-seed runs with mean/std aggregation")
-    add_run_options(sweep, True)
+    add_run_options(sweep)
     sweep.add_argument("--algorithm", choices=("fw", "sfw"), help="solver to sweep")
 
     bounds = sub.add_parser("bounds", help="print the certificate report")
@@ -600,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "generate": cmd_generate,
-    "run-fw": cmd_run_fw,
-    "run-sfw": cmd_run_sfw,
+    "run-fw": functools.partial(cmd_run, command="run-fw"),
+    "run-sfw": functools.partial(cmd_run, command="run-sfw"),
     "sweep": cmd_sweep,
     "bounds": cmd_bounds,
 }
@@ -615,6 +607,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](merged)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output path that cannot be written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ReferenceSolverError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

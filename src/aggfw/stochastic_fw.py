@@ -12,6 +12,7 @@ exactly, regardless of how the work is scheduled.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
@@ -26,9 +27,7 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
-    aggregate_of,
     check_profile,
-    linearized_best_response,
     objective,
     zero_gradient_profile,
 )
@@ -107,6 +106,48 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
     return n_agents * (1.0 - (k / (k + 2.0)) ** n_draws)
 
 
+@dataclass(frozen=True)
+class _Linearization:
+    """The objective linearized at a profile, with the solved agents' moves.
+
+    ``delta[i]`` is g_i(best response) - g_i(x_i) for every agent in
+    ``best_response`` and zero for the others.  ``ybar`` and both gaps
+    need every agent's best response; otherwise they are None and NaN.
+    ``beta`` takes ybar = y + mean(delta), ``beta_rows`` the mean of the
+    best-response rows: the two differ in the last bits, and the recorded
+    trajectories pin the first in the records and the second in the
+    closed-loop step sizes.
+    """
+
+    y: Aggregate
+    best_response: dict
+    delta: np.ndarray
+    ybar: Aggregate | None
+    beta: float
+    beta_rows: float
+
+
+def _linearize(problem: ProblemInstance, profile: DecisionProfile, agents) -> _Linearization:
+    """Linearize f at the profile's aggregate and solve the subproblems of ``agents``."""
+    check_profile(problem, profile)
+    n, dims = problem.n_agents, problem.block_dims
+    contrib = np.stack([problem.contribution(i, d).values for i, d in enumerate(profile.decisions)])
+    y = Aggregate(contrib.sum(axis=0) / n, dims)
+    grad = problem.f_grad(y)
+    best_response = {}
+    responses = contrib.copy()
+    for i in agents:
+        i = int(i)
+        best_response[i] = problem.best_response(i, grad)
+        responses[i] = problem.contribution(i, best_response[i]).values
+    delta = responses - contrib
+    if len(best_response) < n:
+        return _Linearization(y, best_response, delta, None, float("nan"), float("nan"))
+    ybar = Aggregate(y.values + delta.sum(axis=0) / n, dims)
+    beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims))
+    return _Linearization(y, best_response, delta, ybar, dual_gap_beta(problem, y, ybar), beta_rows)
+
+
 def sfw_step(
     problem: ProblemInstance,
     profile: DecisionProfile,
@@ -115,13 +156,14 @@ def sfw_step(
     n_draws: int,
     rng: np.random.Generator,
     keep_if_worse: bool = True,
-    use_active_set: bool = True,
+    linearization: _Linearization | None = None,
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
-    Bernoulli switches are presampled first, so with ``use_active_set``
-    only the agents that actually switch in some candidate get their
-    subproblem solved; the trajectory is identical either way.  With
+    Bernoulli switches are presampled first, so only the agents that
+    actually switch in some candidate get their subproblem solved,
+    unless ``linearization`` already holds every agent's best response
+    at ``profile``; the trajectory is identical either way.  With
     ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
     otherwise the best candidate is taken unconditionally.
@@ -131,32 +173,12 @@ def sfw_step(
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     if n_draws < 1:
         raise ValueError(f"need at least one candidate draw, got {n_draws}")
-    check_profile(problem, profile)
-    n, q, dims = problem.n_agents, problem.total_dim, problem.block_dims
-
-    contrib = np.stack([problem.contribution(i, d).values for i, d in enumerate(profile.decisions)])
-    y_values = contrib.sum(axis=0) / n
-    y = Aggregate(y_values, dims)
-    value = problem.f_value(y)
-
-    switches = bernoulli_matrix(rng, n_draws, n, omega)
+    switches = bernoulli_matrix(rng, n_draws, problem.n_agents, omega)
     active = np.flatnonzero(switches.any(axis=0))
-    solve_idx = active if use_active_set else np.arange(n)
+    lin = linearization if linearization is not None else _linearize(problem, profile, active)
+    value = problem.f_value(lin.y)
 
-    best_response: dict[int, object] = {}
-    delta = np.zeros((n, q))
-    beta = float("nan")
-    if solve_idx.size:
-        grad = problem.f_grad(y)
-        for i in solve_idx:
-            i = int(i)
-            best_response[i] = problem.best_response(i, grad)
-            delta[i] = problem.contribution(i, best_response[i]).values - contrib[i]
-        if solve_idx.size == n:
-            ybar = Aggregate(y_values + delta.sum(axis=0) / n, dims)
-            beta = dual_gap_beta(problem, y, ybar)
-
-    candidates = y_values + (switches.astype(float) @ delta) / n
+    candidates = lin.y.values + (switches.astype(float) @ lin.delta) / problem.n_agents
     candidate_values = problem.f_value_batch(candidates)
     best = int(np.argmin(candidate_values))  # first occurrence wins ties
 
@@ -164,18 +186,13 @@ def sfw_step(
         next_profile = profile
         accepted = False
     else:
-        next_profile = DecisionProfile(
-            tuple(
-                best_response[i] if switches[best, i] else d
-                for i, d in enumerate(profile.decisions)
-            )
-        )
+        next_profile = _apply_switches(profile, switches[best], lin.best_response)
         accepted = next_profile != profile
 
     record = SfwRecord(
         k=k,
         objective=value,
-        beta=beta,
+        beta=lin.beta,
         omega=omega,
         n_draws=n_draws,
         active_count=int(active.size),
@@ -183,6 +200,42 @@ def sfw_step(
         wall_ms=(time.perf_counter() - start) * 1e3,
     )
     return next_profile, record
+
+
+def _apply_switches(profile, switches, best_response) -> DecisionProfile:
+    return DecisionProfile(
+        tuple(best_response[i] if switches[i] else d for i, d in enumerate(profile.decisions))
+    )
+
+
+def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callback, step):
+    """Outer loop shared by the stochastic solvers.
+
+    ``step(k, profile, stream)`` returns the next profile and the record
+    of iteration k; ``stream`` is the iteration's Bernoulli stream.  The
+    record's ``wall_ms`` is set here to the whole iteration's time.
+    """
+    if n_iters < 1:
+        raise ValueError(f"need at least one iteration, got {n_iters}")
+    if n_iters > 2 * problem.n_agents:
+        warnings.warn(
+            f"{n_iters} iterations exceed twice the agent count "
+            f"({problem.n_agents}); the convergence bounds are proven only up to 2N",
+            stacklevel=3,
+        )
+    profile = initial if initial is not None else zero_gradient_profile(problem)
+    records: list[SfwRecord] = []
+    for k in range(n_iters):
+        start = time.perf_counter()
+        profile, record = step(k, profile, _rng.stream(seed, _rng.BERNOULLI, 0, k))
+        record = dataclasses.replace(record, wall_ms=(time.perf_counter() - start) * 1e3)
+        records.append(record)
+        if callback is not None:
+            callback(record)
+    # Terminal sentinel: the final objective, no draws and no step.
+    nan = float("nan")
+    records.append(SfwRecord(n_iters, objective(problem, profile), nan, nan, 0, 0, False, 0.0))
+    return profile, records
 
 
 def sfw_run(
@@ -201,60 +254,29 @@ def sfw_run(
     The step rule is the canonical one or its closed-loop variant; the
     closed-loop rule needs the dual gap before sampling, so it forces a
     full subproblem resolution and disables the active-set shortcut.
+    The subproblems are then solved once per iteration, and the same
+    best responses serve the gap and the candidates.
     The convergence guarantees cover iteration counts up to 2N; longer
     runs are allowed but flagged.  A terminal sentinel record carries
     the final objective (its draw and active counts are zero).
     """
-    if n_iters < 1:
-        raise ValueError(f"need at least one iteration, got {n_iters}")
     rule = rule if rule is not None else CanonicalStep()
     if not isinstance(rule, (CanonicalStep, LineSearchSfwStep)):
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
-    if n_iters > 2 * problem.n_agents:
-        warnings.warn(
-            f"{n_iters} iterations exceed twice the agent count "
-            f"({problem.n_agents}); the convergence bounds are proven only up to 2N",
-            stacklevel=2,
+    closed_loop = isinstance(rule, LineSearchSfwStep)
+    agents = range(problem.n_agents)
+
+    def step(k, profile, stream):
+        lin = None
+        if closed_loop or not use_active_set:
+            lin = _linearize(problem, profile, agents)
+        omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
+        return sfw_step(
+            problem, profile, k, omega, schedule.size(k, problem.n_agents), stream,
+            keep_if_worse=keep_if_worse, linearization=lin,
         )
-    profile = initial if initial is not None else zero_gradient_profile(problem)
-    records: list[SfwRecord] = []
-    for k in range(n_iters):
-        n_draws = schedule.size(k, problem.n_agents)
-        if isinstance(rule, CanonicalStep):
-            omega = rule.omega(k)
-            active_set = use_active_set
-        else:
-            omega = rule.omega(k, beta=_presolve_beta(problem, profile))
-            active_set = False
-        stream = _rng.stream(seed, _rng.BERNOULLI, 0, k)
-        profile, record = sfw_step(
-            problem, profile, k, omega, n_draws, stream,
-            keep_if_worse=keep_if_worse, use_active_set=active_set,
-        )
-        records.append(record)
-        if callback is not None:
-            callback(record)
-    records.append(_terminal_record(problem, profile, n_iters))
-    return profile, records
 
-
-def _presolve_beta(problem: ProblemInstance, profile: DecisionProfile) -> float:
-    y = aggregate_of(problem, profile)
-    _, ybar = linearized_best_response(problem, y)
-    return dual_gap_beta(problem, y, ybar)
-
-
-def _terminal_record(problem: ProblemInstance, profile: DecisionProfile, k: int) -> SfwRecord:
-    return SfwRecord(
-        k=k,
-        objective=objective(problem, profile),
-        beta=float("nan"),
-        omega=float("nan"),
-        n_draws=0,
-        active_count=0,
-        accepted=False,
-        wall_ms=0.0,
-    )
+    return _iterate(problem, n_iters, seed, initial, callback, step)
 
 
 @dataclass(frozen=True)
@@ -299,24 +321,15 @@ def stopping_time_step(
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
-    check_profile(problem, profile)
     constants = constants if constants is not None else compute_constants(problem)
     if max_draws is None:
         max_draws = default_draw_cap(problem.n_agents, k)
     if max_draws < 1:
         raise ValueError(f"draw budget must be at least 1, got {max_draws}")
-    n, q, dims = problem.n_agents, problem.total_dim, problem.block_dims
-
-    contrib = np.stack([problem.contribution(i, d).values for i, d in enumerate(profile.decisions)])
-    y_values = contrib.sum(axis=0) / n
-    grad = problem.f_grad(Aggregate(y_values, dims))
-    best_response = [problem.best_response(i, grad) for i in range(n)]
-    delta = np.stack(
-        [problem.contribution(i, best_response[i]).values - contrib[i] for i in range(n)]
-    )
-    ybar_values = y_values + delta.sum(axis=0) / n
-    beta = dual_gap_beta(problem, Aggregate(y_values, dims), Aggregate(ybar_values, dims))
-    mixed = (1.0 - omega) * y_values + omega * ybar_values
+    n, dims = problem.n_agents, problem.block_dims
+    lin = _linearize(problem, profile, range(n))
+    y_values = lin.y.values
+    mixed = (1.0 - omega) * y_values + omega * lin.ybar.values
     threshold = problem.f_value(Aggregate(mixed, dims)) + (
         constants.c1 / 2.0 + constants.c0
     ) * omega**2
@@ -325,23 +338,15 @@ def stopping_time_step(
     for j in range(max_draws):
         switches = rng.random(n) < omega
         value = problem.f_value(
-            Aggregate(y_values + (switches.astype(float) @ delta) / n, dims)
+            Aggregate(y_values + (switches.astype(float) @ lin.delta) / n, dims)
         )
         if value <= threshold:
-            return StoppingStep(
-                _apply_switches(profile, switches, best_response), j + 1, True, value, beta
-            )
+            decisions = _apply_switches(profile, switches, lin.best_response)
+            return StoppingStep(decisions, j + 1, True, value, lin.beta)
         if value < best_value:
             best_value, best_switches = value, switches
-    return StoppingStep(
-        _apply_switches(profile, best_switches, best_response), max_draws, False, best_value, beta
-    )
-
-
-def _apply_switches(profile, switches, best_response) -> DecisionProfile:
-    return DecisionProfile(
-        tuple(best_response[i] if switches[i] else d for i, d in enumerate(profile.decisions))
-    )
+    decisions = _apply_switches(profile, best_switches, lin.best_response)
+    return StoppingStep(decisions, max_draws, False, best_value, lin.beta)
 
 
 def stopping_time_run(
@@ -360,40 +365,24 @@ def stopping_time_run(
     the full best response), and ``accepted`` whether the inequality was
     met within the draw budget.
     """
-    if n_iters < 1:
-        raise ValueError(f"need at least one iteration, got {n_iters}")
-    if n_iters > 2 * problem.n_agents:
-        warnings.warn(
-            f"{n_iters} iterations exceed twice the agent count "
-            f"({problem.n_agents}); the convergence bounds are proven only up to 2N",
-            stacklevel=2,
-        )
     constants = compute_constants(problem)
     rule = CanonicalStep()
-    profile = initial if initial is not None else zero_gradient_profile(problem)
-    records: list[SfwRecord] = []
-    for k in range(n_iters):
-        start = time.perf_counter()
+
+    def step(k, profile, stream):
         value = objective(problem, profile)
         result = stopping_time_step(
-            problem, profile, k, rule.omega(k),
-            _rng.stream(seed, _rng.BERNOULLI, 0, k),
-            max_draws=max_draws, constants=constants,
+            problem, profile, k, rule.omega(k), stream, max_draws=max_draws, constants=constants
         )
-        records.append(
-            SfwRecord(
-                k=k,
-                objective=value,
-                beta=result.beta,
-                omega=rule.omega(k),
-                n_draws=result.n_draws,
-                active_count=problem.n_agents,
-                accepted=result.accepted,
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
+        record = SfwRecord(
+            k=k,
+            objective=value,
+            beta=result.beta,
+            omega=rule.omega(k),
+            n_draws=result.n_draws,
+            active_count=problem.n_agents,
+            accepted=result.accepted,
+            wall_ms=0.0,
         )
-        profile = result.decisions
-        if callback is not None:
-            callback(records[-1])
-    records.append(_terminal_record(problem, profile, n_iters))
-    return profile, records
+        return result.decisions, record
+
+    return _iterate(problem, n_iters, seed, initial, callback, step)

@@ -224,6 +224,47 @@ class TestBounds:
         assert main(["bounds", "--instance", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
 
+class TestMisuse:
+    """Every misuse exits 2, whichever subcommand it reaches."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run-fw", "--iters", "-1"],
+            ["run-sfw", "--iters", "-1"],
+            ["sweep", "--iters", "0", "--seeds", "0"],
+            ["bounds", "--iters", "-3"],
+            ["bounds", "--iters", "0"],
+            ["run-fw", "--iters", "5", "--stopping-time"],
+            ["run-fw", "--iters", "5", "--schedule", "const:3"],
+            ["sweep", "--iters", "5", "--seeds", "0", "--stopping-time",
+             "--schedule", "const:3"],
+            ["run-sfw", "--iters", "5", "--rule", "ls-fw"],
+            ["sweep", "--iters", "5", "--seeds", "0", "--algorithm", "fw",
+             "--rule", "ls-sfw"],
+        ],
+    )
+    def test_bad_options_are_config_errors(self, tmp_path, instance_path, args, capsys):
+        args = args + ["--instance", str(instance_path)]
+        if args[0] != "bounds":
+            args += ["--out", str(tmp_path / "x")]
+        assert main(args) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_run_output_under_a_file_is_config_error(self, tmp_path, instance_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run-fw", "--instance", str(instance_path), "--iters", "3",
+                     "--out", str(blocker)]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_report_onto_a_directory_is_config_error(self, tmp_path, instance_path, capsys):
+        (tmp_path / "report").mkdir()
+        assert main(["bounds", "--instance", str(instance_path),
+                     "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_cli_wins(self, tmp_path, instance_path):
         config = {

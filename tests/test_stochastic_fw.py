@@ -23,7 +23,7 @@ from aggfw.stochastic_fw import (
 
 
 class CountingInstance:
-    """Transparent wrapper counting best-response oracle calls."""
+    """Transparent wrapper counting subproblem solves, one per agent solved."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -32,6 +32,10 @@ class CountingInstance:
     def best_response(self, i, grad):
         self.calls += 1
         return self.inner.best_response(i, grad)
+
+    def best_response_all(self, grad):
+        self.calls += self.inner.n_agents
+        return self.inner.best_response_all(grad)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -162,6 +166,13 @@ class TestSfwRun:
         assert all(np.isfinite(r.beta) for r in records[:-1])
         assert all(r.beta >= -1e-9 for r in records[:-1])
 
+    def test_line_search_rule_solves_each_subproblem_once(self, miqp_small):
+        counting = CountingInstance(miqp_small)
+        rule = LineSearchSfwStep.from_constants(compute_constants(miqp_small))
+        start = zero_gradient_profile(miqp_small)
+        sfw_run(counting, 8, ConstantSchedule(4), seed=2, rule=rule, initial=start)
+        assert counting.calls == 8 * miqp_small.n_agents
+
     def test_rejects_fw_line_search_rule(self, miqp_small):
         with pytest.raises(ValueError, match="rule"):
             sfw_run(miqp_small, 5, ConstantSchedule(1), seed=0, rule=LineSearchFwStep())
@@ -255,6 +266,20 @@ class TestStoppingTime:
         for k in range(1, 60):
             gap = records[k + 1].objective - miqp_medium_reference.value
             assert gap <= 4 * (constants.c1 + constants.c0) / k + 1e-9
+
+    def test_beta_matches_full_solve_sfw_step(self, miqp_medium):
+        # omega = 1 switches every agent, so sfw_step solves every
+        # subproblem and reports the dual gap at the same profile.
+        profile = sfw_run(miqp_medium, 6, ConstantSchedule(2), seed=1)[0]
+        _, record = sfw_step(
+            miqp_medium, profile, 6, 1.0, 2, _rng.stream(1, _rng.BERNOULLI, 0, 6)
+        )
+        result = stopping_time_step(
+            miqp_medium, profile, 6, 0.25, _rng.stream(1, _rng.BERNOULLI, 0, 6)
+        )
+        assert record.active_count == miqp_medium.n_agents
+        assert result.beta == record.beta
+        assert np.isfinite(result.beta)
 
     def test_draw_cap_grows_with_k(self):
         assert default_draw_cap(100, 1) >= 10
