@@ -36,6 +36,7 @@ from .miqp import (
     generate,
     load_instance,
     save_instance,
+    write_atomic,
 )
 from .stochastic_fw import ConstantSchedule, QuadraticSchedule, sfw_run, stopping_time_run
 
@@ -68,10 +69,7 @@ def _fmt(value) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text)
 
 
 def write_csv(path: str, rows: list[dict]) -> None:

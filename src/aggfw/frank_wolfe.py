@@ -26,7 +26,7 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
-    linearized_best_response,
+    aggregate_of,
     zero_gradient_profile,
 )
 
@@ -95,14 +95,16 @@ class FwRecord:
 
 
 def dual_gap_beta(
-    problem: ProblemInstance, y: Aggregate, ybar: Aggregate, tol: float = 1e-9
+    problem: ProblemInstance, y: Aggregate, ybar: Aggregate, tol: float = 1e-9, *, grad=None
 ) -> float:
     """Computable dual gap <grad f(y), y - ybar>.
 
     Nonnegative whenever ``ybar`` came from an exact best response at
     ``y``; a value below ``-tol`` signals a broken oracle and raises.
+    A caller holding ``grad f(y)`` passes it as ``grad``.
     """
-    value = problem.f_grad(y).dot(y - ybar)
+    grad = problem.f_grad(y) if grad is None else grad
+    value = grad.dot(y - ybar)
     if value < -tol:
         raise ValueError(f"dual gap {value:.3e} is negative beyond tolerance {tol:.1e}")
     return value
@@ -137,8 +139,10 @@ def fw_run(
     records: list[FwRecord] = []
     for k in range(n_iters + 1):
         start = time.perf_counter()
-        xbar, ybar = linearized_best_response(problem, y)
-        beta = dual_gap_beta(problem, y, ybar)
+        grad = problem.f_grad(y)
+        xbar = DecisionProfile(tuple(problem.best_response_all(grad)))
+        ybar = aggregate_of(problem, xbar)
+        beta = dual_gap_beta(problem, y, ybar, grad=grad)
         value = problem.f_value(y)
         if not np.isfinite(value):
             raise ValueError(f"non-finite relaxed objective at iteration {k}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, objective
+from .problems import contribution_rows, sequential_sum
 
 # Atoms below this weight are dropped and the rest renormalized.  With
 # the canonical step sizes an atom added at iteration s still has weight
@@ -30,7 +31,7 @@ class DiscreteMeasure:
     the remainder renormalized.  Instances are immutable.
     """
 
-    __slots__ = ("agent", "atoms", "_mean", "_cdf")
+    __slots__ = ("agent", "atoms", "_mean")
 
     def __init__(self, agent: int, atoms, prune: float = PRUNE_WEIGHT):
         merged: dict = {}
@@ -49,11 +50,13 @@ class DiscreteMeasure:
         self.agent = int(agent)
         self.atoms = tuple((w / norm, d) for w, d in kept)
         self._mean = None
-        self._cdf = None
 
     @classmethod
     def dirac(cls, agent: int, decision: Decision) -> "DiscreteMeasure":
-        return cls(agent, [(1.0, decision)])
+        """The point mass at ``decision``: one atom of weight 1, nothing to merge."""
+        measure = cls.__new__(cls)
+        measure.agent, measure.atoms, measure._mean = int(agent), ((1.0, decision),), None
+        return measure
 
     @property
     def support_size(self) -> int:
@@ -70,18 +73,10 @@ class DiscreteMeasure:
     def mean_contribution(self, problem: ProblemInstance) -> Aggregate:
         """E_mu[g_i], cached after the first evaluation."""
         if self._mean is None:
-            total = np.zeros(problem.total_dim)
-            for weight, decision in self.atoms:
-                total += weight * problem.contribution(self.agent, decision).values
-            self._mean = Aggregate(total, problem.block_dims)
+            rows = contribution_rows(problem, [self.agent] * self.support_size, self.decisions)
+            rows *= self.weights[:, None]
+            self._mean = Aggregate(sequential_sum(rows), problem.block_dims)
         return self._mean
-
-    def pick(self, u: float) -> Decision:
-        """Inverse-CDF lookup over the atom list in stored order."""
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.weights)
-        index = int(np.searchsorted(self._cdf, u, side="right"))
-        return self.atoms[min(index, len(self.atoms) - 1)][1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
@@ -95,7 +90,7 @@ class DiscreteMeasure:
 class MeasureProfile:
     """One finitely supported distribution per agent."""
 
-    __slots__ = ("measures",)
+    __slots__ = ("measures", "_table")
 
     def __init__(self, measures):
         measures = tuple(measures)
@@ -103,6 +98,7 @@ class MeasureProfile:
             if measure.agent != i:
                 raise ValueError(f"measure at position {i} is owned by agent {measure.agent}")
         self.measures = measures
+        self._table = None
 
     @classmethod
     def dirac(cls, profile: DecisionProfile) -> "MeasureProfile":
@@ -118,10 +114,22 @@ class MeasureProfile:
 
     def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
         """(1/N) sum_i E_mu_i[g_i]."""
-        total = np.zeros(problem.total_dim)
-        for measure in self.measures:
-            total += measure.mean_contribution(problem).values
-        return Aggregate(total / self.n_agents, problem.block_dims)
+        rows = np.array([measure.mean_contribution(problem).values for measure in self.measures])
+        return Aggregate(sequential_sum(rows) / self.n_agents, problem.block_dims)
+
+    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each measure's ``np.cumsum(weights)`` but its last entry, padded with +inf
+        to an (N, S - 1) array, and the (N, S) atom tokens; built on first use."""
+        if self._table is None:
+            width = max(self.support_sizes)
+            cdf = np.full((self.n_agents, width - 1), np.inf)
+            tokens = np.empty((self.n_agents, width), dtype=object)
+            for i, measure in enumerate(self.measures):
+                cdf[i, : measure.support_size - 1] = np.cumsum(measure.weights)[:-1]
+                for j, decision in enumerate(measure.decisions):
+                    tokens[i, j] = decision
+            self._table = cdf, tokens
+        return self._table
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -172,30 +180,38 @@ def mix(
     return MeasureProfile(mixed)
 
 
-def contribution_variance(problem: ProblemInstance, measure: DiscreteMeasure, block: int) -> float:
-    """Variance of the block-j contribution under the measure."""
-    mean = measure.mean_contribution(problem).block(block)
+def _variance(problem: ProblemInstance, measure: DiscreteMeasure, columns: slice) -> float:
+    mean = measure.mean_contribution(problem).values[columns]
+    rows = contribution_rows(problem, [measure.agent] * measure.support_size, measure.decisions)
+    diffs = rows[:, columns] - mean
     total = 0.0
-    for weight, decision in measure.atoms:
-        diff = problem.contribution(measure.agent, decision).block(block) - mean
+    for (weight, _), diff in zip(measure.atoms, diffs):
         total += weight * float(diff @ diff)
     return total
+
+
+def contribution_variance(problem: ProblemInstance, measure: DiscreteMeasure, block: int) -> float:
+    """Variance of the block-j contribution under the measure."""
+    start = sum(problem.block_dims[:block])
+    return _variance(problem, measure, slice(start, start + problem.block_dims[block]))
 
 
 def total_contribution_variance(problem: ProblemInstance, measure: DiscreteMeasure) -> float:
     """Variance of the full contribution map, summed over blocks."""
-    mean = measure.mean_contribution(problem).values
-    total = 0.0
-    for weight, decision in measure.atoms:
-        diff = problem.contribution(measure.agent, decision).values - mean
-        total += weight * float(diff @ diff)
-    return total
+    return _variance(problem, measure, slice(None))
 
 
 def sample_profile(profile: MeasureProfile, rng: np.random.Generator) -> DecisionProfile:
-    """Draw one decision per agent, independently, in agent order."""
+    """Draw one decision per agent, independently, in agent order.
+
+    Agent i takes the first atom whose CDF value exceeds its uniform, or
+    the last atom when rounding leaves the CDF below the uniform: the
+    table leaves the last CDF entry out.
+    """
+    cdf, tokens = profile._sampling_table()
     uniforms = rng.random(profile.n_agents)
-    return DecisionProfile(tuple(m.pick(u) for m, u in zip(profile.measures, uniforms)))
+    index = (cdf <= uniforms[:, None]).sum(axis=1)
+    return DecisionProfile(tuple(tokens[np.arange(profile.n_agents), index]))
 
 
 def select_best(

@@ -10,6 +10,7 @@ of the theory with decisions in {-1, +1}.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -81,6 +82,11 @@ class MiqpInstance(ProblemInstance):
 
     def contribution(self, i: int, decision: Decision) -> Aggregate:
         return Aggregate(self.matrix[:, i] * float(decision), self._dims)
+
+    def contributions(self, agents: np.ndarray, decisions) -> np.ndarray:
+        rows = self.matrix.T[agents]
+        rows *= np.asarray(decisions, dtype=float)[:, None]
+        return rows
 
     def f_block_values(self, y: Aggregate) -> np.ndarray:
         return (y.values - self._target_scaled) ** 2
@@ -173,11 +179,20 @@ def generate(m: int, n: int, seed: int) -> MiqpInstance:
 
 def save_instance(instance: MiqpInstance, path: str) -> None:
     """Write the instance as a portable JSON document (atomic replace)."""
+    write_atomic(path, json.dumps(instance.to_dict()) + "\n")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename it over ``path``; a failure removes the tmp."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(instance.to_dict(), handle)
-        handle.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_instance(path: str) -> MiqpInstance:

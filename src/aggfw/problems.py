@@ -41,15 +41,9 @@ class Aggregate:
                 f"block dimensions {block_dims} do not tile a vector of size {values.size}"
             )
         if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValueError(f"non-finite entry in aggregate block {self._block_of(block_dims, bad)}")
+            raise non_finite_error(values, block_dims)
         self.values = values
         self.block_dims = block_dims
-
-    @staticmethod
-    def _block_of(block_dims: tuple[int, ...], flat_index: int) -> int:
-        ends = np.cumsum(block_dims)
-        return int(np.searchsorted(ends, flat_index, side="right"))
 
     @classmethod
     def zeros(cls, block_dims: Sequence[int]) -> "Aggregate":
@@ -66,9 +60,6 @@ class Aggregate:
     def block(self, j: int) -> np.ndarray:
         start = sum(self.block_dims[:j])
         return self.values[start : start + self.block_dims[j]]
-
-    def blocks(self) -> list[np.ndarray]:
-        return np.split(self.values, np.cumsum(self.block_dims)[:-1])
 
     def block_sqnorms(self) -> np.ndarray:
         """Per-block squared Euclidean norms, as a length-M vector."""
@@ -91,6 +82,13 @@ class Aggregate:
 
     def __repr__(self) -> str:
         return f"Aggregate({self.values!r}, blocks={self.n_blocks})"
+
+
+def non_finite_error(values: np.ndarray, block_dims: Sequence[int]) -> ValueError:
+    """The error naming the block of the first non-finite entry of flat or (n, q) values."""
+    bad = int(np.flatnonzero(~np.isfinite(values))[0]) % values.shape[-1]
+    block = int(np.searchsorted(np.cumsum(block_dims), bad, side="right"))
+    return ValueError(f"non-finite entry in aggregate block {block}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,15 @@ class ProblemInstance(ABC):
         dims = self.block_dims
         return np.array([self.f_value(Aggregate(row, dims)) for row in flat_points])
 
+    def contributions(self, agents: np.ndarray, decisions: Sequence[Decision]) -> np.ndarray:
+        """Row r is g_i(d) for agent ``agents[r]`` (an integer array) and ``decisions[r]``.
+
+        Returns a C-ordered (n, q) float64 array.  Overrides must reproduce
+        ``contribution`` bit for bit; callers check finiteness.
+        """
+        rows = (self.contribution(int(i), d).values for i, d in zip(agents, decisions))
+        return np.fromiter(rows, dtype=np.dtype((float, self.total_dim)), count=len(agents))
+
     def validate_decision(self, i: int, decision: Decision) -> bool:
         return True
 
@@ -236,13 +243,28 @@ def check_profile(problem: ProblemInstance, profile: DecisionProfile) -> None:
             raise ValueError(f"invalid decision token {decision!r} for agent {i}")
 
 
+def contribution_rows(problem: ProblemInstance, agents, decisions) -> np.ndarray:
+    """``problem.contributions``, checked finite once for the whole batch."""
+    rows = problem.contributions(np.asarray(agents, dtype=np.intp), decisions)
+    if not np.isfinite(rows).all():
+        raise non_finite_error(rows, problem.block_dims)
+    return rows
+
+
+def sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """The loop ``total = 0.0; total += row`` in row order, in place in ``rows``.
+
+    ``rows.sum(axis=0)`` turns pairwise for one column or F-ordered rows.
+    """
+    rows[0] += 0.0  # the loop's 0.0 + -0.0 is 0.0
+    return np.cumsum(rows, axis=0, out=rows)[-1]
+
+
 def aggregate_of(problem: ProblemInstance, profile: DecisionProfile) -> Aggregate:
     """G(x) = (1/N) sum_i g_i(x_i)."""
     check_profile(problem, profile)
-    total = np.zeros(problem.total_dim)
-    for i, decision in enumerate(profile.decisions):
-        total += problem.contribution(i, decision).values
-    return Aggregate(total / problem.n_agents, problem.block_dims)
+    rows = contribution_rows(problem, np.arange(problem.n_agents), profile.decisions)
+    return Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
 
 
 def objective(problem: ProblemInstance, profile: DecisionProfile) -> float:

@@ -28,6 +28,7 @@ from .problems import (
     DecisionProfile,
     ProblemInstance,
     check_profile,
+    contribution_rows,
     objective,
     zero_gradient_profile,
 )
@@ -131,21 +132,20 @@ def _linearize(problem: ProblemInstance, profile: DecisionProfile, agents) -> _L
     """Linearize f at the profile's aggregate and solve the subproblems of ``agents``."""
     check_profile(problem, profile)
     n, dims = problem.n_agents, problem.block_dims
-    contrib = np.stack([problem.contribution(i, d).values for i, d in enumerate(profile.decisions)])
+    contrib = contribution_rows(problem, np.arange(n), profile.decisions)
     y = Aggregate(contrib.sum(axis=0) / n, dims)
     grad = problem.f_grad(y)
-    best_response = {}
+    best_response = {i: problem.best_response(i, grad) for i in map(int, agents)}
+    solved = np.fromiter(best_response, dtype=np.intp, count=len(best_response))
     responses = contrib.copy()
-    for i in agents:
-        i = int(i)
-        best_response[i] = problem.best_response(i, grad)
-        responses[i] = problem.contribution(i, best_response[i]).values
+    responses[solved] = contribution_rows(problem, solved, list(best_response.values()))
     delta = responses - contrib
     if len(best_response) < n:
         return _Linearization(y, best_response, delta, None, float("nan"), float("nan"))
     ybar = Aggregate(y.values + delta.sum(axis=0) / n, dims)
-    beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims))
-    return _Linearization(y, best_response, delta, ybar, dual_gap_beta(problem, y, ybar), beta_rows)
+    beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims), grad=grad)
+    beta = dual_gap_beta(problem, y, ybar, grad=grad)
+    return _Linearization(y, best_response, delta, ybar, beta, beta_rows)
 
 
 def sfw_step(

@@ -20,6 +20,10 @@ class TableInstance(ProblemInstance):
         q = self.tables[0].shape[1]
         assert all(t.shape[1] == q for t in self.tables)
         self._dims = (1,) * q
+        # Tables padded to a common universe size, for the batched hook.
+        self._padded = np.zeros((len(self.tables), max(len(t) for t in self.tables), q))
+        for i, table in enumerate(self.tables):
+            self._padded[i, : len(table)] = table
 
     @property
     def n_agents(self):
@@ -37,6 +41,9 @@ class TableInstance(ProblemInstance):
 
     def contribution(self, i, decision):
         return Aggregate(self.tables[i][decision], self._dims)
+
+    def contributions(self, agents, decisions):
+        return self._padded[agents, np.asarray(decisions, dtype=np.intp)]
 
     def f_block_values(self, y):
         return (y.values - self.target) ** 2
@@ -62,6 +69,31 @@ class TableInstance(ProblemInstance):
     @property
     def diameters(self):
         return np.stack([t.max(axis=0) - t.min(axis=0) for t in self.tables])
+
+
+class CountingInstance:
+    """Transparent wrapper counting subproblem solves (one per agent solved)
+    and gradient evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.grads = 0
+
+    def best_response(self, i, grad):
+        self.calls += 1
+        return self.inner.best_response(i, grad)
+
+    def best_response_all(self, grad):
+        self.calls += self.inner.n_agents
+        return self.inner.best_response_all(grad)
+
+    def f_grad(self, y):
+        self.grads += 1
+        return self.inner.f_grad(y)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture(scope="session")

@@ -263,6 +263,14 @@ class TestMisuse:
         assert main(["bounds", "--instance", str(instance_path),
                      "--out", str(tmp_path / "report")]) == EXIT_CONFIG
         assert "cannot write output" in capsys.readouterr().err
+        assert not (tmp_path / "report.tmp").exists()
+
+    def test_instance_onto_a_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "inst").mkdir()
+        assert main(["generate", "--m", "3", "--n", "5", "--seed", "0",
+                     "--out", str(tmp_path / "inst")]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst"]
 
 
 class TestConfigFile:

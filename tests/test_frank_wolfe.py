@@ -19,6 +19,7 @@ from aggfw.problems import (
     linearized_best_response,
     zero_gradient_profile,
 )
+from conftest import CountingInstance
 
 
 class TestStepRules:
@@ -123,6 +124,11 @@ class TestFwRun:
             (r.objective, r.beta) for r in second
         ]
         assert [r.omega for r in first[:-1]] == [r.omega for r in second[:-1]]
+
+    def test_one_gradient_per_linearization(self, miqp_small):
+        counting = CountingInstance(miqp_small)
+        _, records = fw_run(counting, 12, rule=LineSearchFwStep())
+        assert counting.grads == len(records) == 13
 
     def test_line_search_model_never_worse_than_canonical(self, miqp_small):
         # Replay the run manually to compare the quadratic model value of

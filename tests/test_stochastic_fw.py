@@ -20,25 +20,7 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-
-
-class CountingInstance:
-    """Transparent wrapper counting subproblem solves, one per agent solved."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def best_response(self, i, grad):
-        self.calls += 1
-        return self.inner.best_response(i, grad)
-
-    def best_response_all(self, grad):
-        self.calls += self.inner.n_agents
-        return self.inner.best_response_all(grad)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+from conftest import CountingInstance
 
 
 class TestSchedules:
@@ -172,6 +154,7 @@ class TestSfwRun:
         start = zero_gradient_profile(miqp_small)
         sfw_run(counting, 8, ConstantSchedule(4), seed=2, rule=rule, initial=start)
         assert counting.calls == 8 * miqp_small.n_agents
+        assert counting.grads == 8  # one gradient per linearization
 
     def test_rejects_fw_line_search_rule(self, miqp_small):
         with pytest.raises(ValueError, match="rule"):
@@ -280,6 +263,12 @@ class TestStoppingTime:
         assert record.active_count == miqp_medium.n_agents
         assert result.beta == record.beta
         assert np.isfinite(result.beta)
+
+    def test_one_gradient_and_solve_per_agent_per_iteration(self, miqp_small):
+        counting = CountingInstance(miqp_small)
+        stopping_time_run(counting, 6, seed=3, initial=zero_gradient_profile(miqp_small))
+        assert counting.grads == 6
+        assert counting.calls == 6 * miqp_small.n_agents
 
     def test_draw_cap_grows_with_k(self):
         assert default_draw_cap(100, 1) >= 10
