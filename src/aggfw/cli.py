@@ -224,13 +224,8 @@ def parse_schedule(text: str):
 
 
 def parse_seeds(value) -> list[int]:
-    try:
-        if isinstance(value, (list, tuple)):
-            seeds = [int(part) for part in value]
-        else:
-            seeds = [int(part) for part in str(value).split(",") if part != ""]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed list {value!r}: {exc}") from exc
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    seeds = [_as_int(part, "a seed", 0) for part in parts if part != ""]
     if not seeds:
         raise ConfigError("at least one seed is required")
     return seeds
@@ -270,17 +265,34 @@ def _load_problem(merged: dict) -> MiqpInstance:
         raise ConfigError(f"cannot load instance from {path}: {exc}") from exc
 
 
-def _iters(merged: dict, command: str, minimum: int) -> int:
-    """The --iters value, checked once for every subcommand that reads it."""
-    value = _require(merged, "iters")
+def _as_int(value, name: str, minimum: int) -> int:
+    """``value`` as an integer >= ``minimum``; booleans and fractions are config errors."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        n_iters = int(value)
+        number = int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad iteration count {value!r}: {exc}") from exc
-    if n_iters < minimum:
-        need = "at least one iteration" if minimum else "a nonnegative iteration count"
-        raise ConfigError(f"{command} needs {need}")
-    return n_iters
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if number < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
+def _int_option(merged: dict, key: str, minimum: int, default: int | None = None) -> int:
+    """An integer option; without a ``default`` it is required."""
+    if default is not None and merged.get(key) is None:
+        return default
+    return _as_int(_require(merged, key), f"--{key.replace('_', '-')}", minimum)
+
+
+def _switch(merged: dict, key: str, default: bool) -> bool:
+    """A boolean option: the flag, or a JSON ``true``/``false`` in the config."""
+    value = merged.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ConfigError(f"--{key.replace('_', '-')} must be true or false, got {value!r}")
+    return value
 
 
 def _reference_value(problem: MiqpInstance) -> float:
@@ -299,16 +311,17 @@ class _RunSpec:
     schedule: ConstantSchedule | QuadraticSchedule
     stopping: bool
     keep_if_worse: bool
+    svg: bool
 
 
 def _parse_run(merged: dict, command: str) -> _RunSpec:
     """Validate the options of ``run-fw``, ``run-sfw`` and ``sweep``."""
     problem = _load_problem(merged)
-    n_iters = _iters(merged, command, 1 if command == "sweep" else 0)
+    n_iters = _int_option(merged, "iters", 1 if command == "sweep" else 0)
     algorithm = {"run-fw": "fw", "run-sfw": "sfw"}.get(command) or merged.get("algorithm", "sfw")
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r} (expected fw or sfw)")
-    stopping = bool(merged.get("stopping_time"))
+    stopping = _switch(merged, "stopping_time", False)
     scheduled = merged.get("schedule") is not None
     if stopping and algorithm != "sfw":
         raise ConfigError("--stopping-time implies the sfw algorithm")
@@ -321,7 +334,6 @@ def _parse_run(merged: dict, command: str) -> _RunSpec:
     if rule_name == foreign:
         where = "" if command == "sweep" else f", not {command}"
         raise ConfigError(f"the {foreign} rule drives the {solver} solver{where}")
-    keep = merged.get("keep_if_worse")
     return _RunSpec(
         problem,
         n_iters,
@@ -329,7 +341,8 @@ def _parse_run(merged: dict, command: str) -> _RunSpec:
         rule=parse_rule(rule_name, problem),
         schedule=parse_schedule(merged.get("schedule") or "const:1"),
         stopping=stopping,
-        keep_if_worse=True if keep is None else bool(keep),
+        keep_if_worse=_switch(merged, "keep_if_worse", True),
+        svg=_switch(merged, "svg", False),
     )
 
 
@@ -351,9 +364,9 @@ def _run(spec: _RunSpec, seed: int):
 
 
 def cmd_generate(merged: dict) -> int:
-    m = int(_require(merged, "m"))
-    n = int(_require(merged, "n"))
-    seed = int(_require(merged, "seed"))
+    m = _int_option(merged, "m", 1)
+    n = _int_option(merged, "n", 1)
+    seed = _int_option(merged, "seed", 0)
     out = _require(merged, "out")
     instance = generate(m, n, seed)
     save_instance(instance, out)
@@ -380,6 +393,7 @@ def cmd_run(merged: dict, command: str) -> int:
     if len(seeds) != 1:
         raise ConfigError(f"{command} takes exactly one seed")
     name = spec.algorithm
+    select_n = _int_option(merged, "select_n", 0, default=0) if name == "fw" else 0
     out_dir = _require(merged, "out")
     csv_path = os.path.join(out_dir, f"{name}.csv")
     if spec.n_iters == 0:
@@ -396,14 +410,13 @@ def cmd_run(merged: dict, command: str) -> int:
         print(f"sfw: {spec.n_iters} iterations, final objective {final['value']:.6g}")
     print(f"wrote {csv_path}")
 
-    select_n = int(merged.get("select_n") or 0)
-    if name == "fw" and select_n > 0:
+    if select_n > 0:
         decisions, value = select_best(
             spec.problem, profile, select_n,
             _rng.stream(seeds[0], _rng.SELECTION, 0, spec.n_iters),
         )
         print(f"selection over {select_n} draws: J = {value:.6g}")
-    if merged.get("svg"):
+    if spec.svg:
         reference = _reference_value(spec.problem)
         label, title = _CHARTS[name]
         svg_path = os.path.join(out_dir, f"{name}.svg")
@@ -442,7 +455,7 @@ def cmd_sweep(merged: dict) -> int:
     summary_path = os.path.join(out_dir, "summary.csv")
     _write_atomic(summary_path, "\n".join(lines) + "\n")
     print(f"swept {len(seeds)} seeds; wrote {summary_path}")
-    if merged.get("svg"):
+    if spec.svg:
         ks = list(range(gaps.shape[1]))
         render_line_chart(
             os.path.join(out_dir, "sweep.svg"),
@@ -473,10 +486,12 @@ def cmd_bounds(merged: dict) -> int:
     problem = _load_problem(merged)
     constants = compute_constants(problem)
     n = constants.n_agents
-    n_iters = _iters(merged, "bounds", 1) if merged.get("iters") is not None else min(2 * n, 200)
+    n_iters = _int_option(merged, "iters", 1, default=min(2 * n, 200))
     schedule_text = merged.get("schedule") or "const:1"
     schedule = parse_schedule(schedule_text)
     eps_list = _parse_float_list(merged.get("eps"), [gap_bound_basic(constants)])
+    if any(not 0 <= eps < math.inf for eps in eps_list):
+        raise ConfigError(f"epsilons must be finite and nonnegative, got {eps_list}")
     zeta_list = _parse_float_list(merged.get("zeta"), [0.1])
     if any(not 0 < z < 1 for z in zeta_list):
         raise ConfigError(f"confidence levels must lie in (0, 1), got {zeta_list}")

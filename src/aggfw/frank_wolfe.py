@@ -16,12 +16,7 @@ import numpy as np
 
 from . import rng as _rng
 from .bounds import ProblemConstants, compute_constants, sample_size_for_confidence
-from .measures import (
-    PRUNE_WEIGHT,
-    MeasureProfile,
-    mix,
-    select_best,
-)
+from .measures import MeasureProfile, mix, select_best
 from .problems import (
     Aggregate,
     DecisionProfile,
@@ -120,7 +115,6 @@ def fw_run(
     n_iters: int,
     rule: StepRule | None = None,
     initial: DecisionProfile | None = None,
-    prune: float = PRUNE_WEIGHT,
     callback=None,
 ) -> tuple[MeasureProfile, list[FwRecord]]:
     """Run the measure-valued Frank-Wolfe algorithm for ``n_iters`` steps.
@@ -154,7 +148,7 @@ def fw_run(
             break
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
         supports = profile.support_sizes  # state at k, before the update
-        profile = mix(profile, MeasureProfile.dirac(xbar), omega, prune=prune)
+        profile = mix(profile, MeasureProfile.dirac(xbar), omega)
         y = (1.0 - omega) * y + omega * ybar
         record = FwRecord(k, value, beta, omega, supports,
                           (time.perf_counter() - start) * 1e3)
@@ -183,7 +177,6 @@ def fw_with_selection(
     rule: StepRule | None = None,
     zeta: float = 0.1,
     initial: DecisionProfile | None = None,
-    prune: float = PRUNE_WEIGHT,
 ) -> FwSelectionResult:
     """Frank-Wolfe followed by best-of-``n_select`` sampling of the iterate.
 
@@ -192,7 +185,7 @@ def fw_with_selection(
     not exceed N; beyond that the guarantee degrades and None is
     returned).
     """
-    profile, records = fw_run(problem, n_iters, rule=rule, initial=initial, prune=prune)
+    profile, records = fw_run(problem, n_iters, rule=rule, initial=initial)
     constants = compute_constants(problem)
     recommended = None
     if n_iters <= problem.n_agents:

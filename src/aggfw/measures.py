@@ -23,39 +23,48 @@ PRUNE_WEIGHT = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def _left_sum(values) -> float:
+    """``0.0 + v0 + v1 + ...`` in order; builtin ``sum`` compensates since Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class DiscreteMeasure:
     """Finitely supported probability distribution for one agent.
 
     Atoms are (weight, decision) pairs in a stable order: duplicates are
-    merged by weight addition, weights below ``prune`` are dropped and
-    the remainder renormalized.  Instances are immutable.
+    merged by weight addition, weights below ``PRUNE_WEIGHT`` are dropped
+    and the remainder renormalized.  Weights are summed left to right, so
+    the renormalized weights do not depend on the interpreter's ``sum``.
+    Instances are immutable.
     """
 
-    __slots__ = ("agent", "atoms", "_mean")
+    __slots__ = ("agent", "atoms")
 
-    def __init__(self, agent: int, atoms, prune: float = PRUNE_WEIGHT):
+    def __init__(self, agent: int, atoms):
         merged: dict = {}
         for weight, decision in atoms:
             weight = float(weight)
             if weight < 0:
                 raise ValueError(f"negative atom weight {weight} for agent {agent}")
             merged[decision] = merged.get(decision, 0.0) + weight
-        total = sum(merged.values())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        total = _left_sum(merged.values())
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight fails here too
             raise ValueError(f"atom weights for agent {agent} sum to {total}, expected 1")
-        kept = [(w, d) for d, w in merged.items() if w > 0 and w >= prune]
+        kept = [(w, d) for d, w in merged.items() if w >= PRUNE_WEIGHT]
         if not kept:
             raise ValueError(f"all atoms of agent {agent} fell below the prune threshold")
-        norm = sum(w for w, _ in kept)
+        norm = _left_sum(w for w, _ in kept)
         self.agent = int(agent)
         self.atoms = tuple((w / norm, d) for w, d in kept)
-        self._mean = None
 
     @classmethod
     def dirac(cls, agent: int, decision: Decision) -> "DiscreteMeasure":
         """The point mass at ``decision``: one atom of weight 1, nothing to merge."""
         measure = cls.__new__(cls)
-        measure.agent, measure.atoms, measure._mean = int(agent), ((1.0, decision),), None
+        measure.agent, measure.atoms = int(agent), ((1.0, decision),)
         return measure
 
     @property
@@ -71,12 +80,10 @@ class DiscreteMeasure:
         return tuple(d for _, d in self.atoms)
 
     def mean_contribution(self, problem: ProblemInstance) -> Aggregate:
-        """E_mu[g_i], cached after the first evaluation."""
-        if self._mean is None:
-            rows = contribution_rows(problem, [self.agent] * self.support_size, self.decisions)
-            rows *= self.weights[:, None]
-            self._mean = Aggregate(sequential_sum(rows), problem.block_dims)
-        return self._mean
+        """E_mu[g_i]."""
+        rows = contribution_rows(problem, [self.agent] * self.support_size, self.decisions)
+        rows *= self.weights[:, None]
+        return Aggregate(sequential_sum(rows), problem.block_dims)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
@@ -131,9 +138,6 @@ class MeasureProfile:
             self._table = cdf, tokens
         return self._table
 
-    def __len__(self) -> int:
-        return len(self.measures)
-
     def __getitem__(self, i: int) -> DiscreteMeasure:
         return self.measures[i]
 
@@ -156,12 +160,7 @@ def relaxed_objective(problem: ProblemInstance, profile: MeasureProfile) -> floa
     return float(values.sum())
 
 
-def mix(
-    profile_a: MeasureProfile,
-    profile_b: MeasureProfile,
-    omega: float,
-    prune: float = PRUNE_WEIGHT,
-) -> MeasureProfile:
+def mix(profile_a: MeasureProfile, profile_b: MeasureProfile, omega: float) -> MeasureProfile:
     """Convex combination (1 - omega) * a + omega * b, agent by agent.
 
     Atom lists are merged by token, keeping the order of ``profile_a``
@@ -176,7 +175,7 @@ def mix(
     for ma, mb in zip(profile_a.measures, profile_b.measures):
         atoms = [(w * (1.0 - omega), d) for w, d in ma.atoms]
         atoms += [(w * omega, d) for w, d in mb.atoms]
-        mixed.append(DiscreteMeasure(ma.agent, atoms, prune=prune))
+        mixed.append(DiscreteMeasure(ma.agent, atoms))
     return MeasureProfile(mixed)
 
 

@@ -324,9 +324,9 @@ class BalancedSignsInstance(ProblemInstance):
         return Aggregate(np.array([-1.0, 2.0 * y.values[1]]), self._dims)
 
     def best_response(self, i: int, grad: Aggregate) -> int:
-        # Scores of the two decisions, in canonical order (-1 first).
-        scores = [float(grad.values @ self.contribution(i, d).values) for d in (-1, 1)]
-        return -1 if scores[0] <= scores[1] else 1
+        # The score of d is <grad, (d^2, d)> = g0 + g1 d; -1 wins ties.
+        g0, g1 = grad.values
+        return -1 if g0 - g1 <= g0 + g1 else 1
 
     @property
     def lipschitz_f(self) -> np.ndarray:
@@ -360,7 +360,7 @@ def bernoulli_profile(instance: MiqpInstance, box_point: np.ndarray):
     the box point's, so its relaxed objective is ``box_objective(x)``.
     """
     box_point = np.asarray(box_point, dtype=float)
-    if box_point.shape != (instance.n_agents,) or ((box_point < 0) | (box_point > 1)).any():
+    if box_point.shape != (instance.n_agents,) or not ((box_point >= 0) & (box_point <= 1)).all():
         raise ValueError("box point must lie in [0, 1]^N")
     measures = []
     for i, p in enumerate(box_point):

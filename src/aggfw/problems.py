@@ -45,18 +45,6 @@ class Aggregate:
         self.values = values
         self.block_dims = block_dims
 
-    @classmethod
-    def zeros(cls, block_dims: Sequence[int]) -> "Aggregate":
-        return cls(np.zeros(int(sum(block_dims))), block_dims)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_dims)
-
-    @property
-    def total_dim(self) -> int:
-        return self.values.size
-
     def block(self, j: int) -> np.ndarray:
         start = sum(self.block_dims[:j])
         return self.values[start : start + self.block_dims[j]]
@@ -81,7 +69,7 @@ class Aggregate:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"Aggregate({self.values!r}, blocks={self.n_blocks})"
+        return f"Aggregate({self.values!r}, blocks={len(self.block_dims)})"
 
 
 def non_finite_error(values: np.ndarray, block_dims: Sequence[int]) -> ValueError:
@@ -228,9 +216,6 @@ class ProblemInstance(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} has no reference relaxed solver")
 
-    def zero_aggregate(self) -> Aggregate:
-        return Aggregate.zeros(self.block_dims)
-
 
 def check_profile(problem: ProblemInstance, profile: DecisionProfile) -> None:
     """Reject profiles of the wrong arity or with invalid tokens."""
@@ -297,5 +282,5 @@ def zero_gradient_profile(problem: ProblemInstance) -> DecisionProfile:
     Every agent subproblem is then constant, so the tie-breaking rule of
     the instance picks the canonical decision.
     """
-    grad = problem.zero_aggregate()
+    grad = Aggregate(np.zeros(problem.total_dim), problem.block_dims)
     return DecisionProfile(tuple(problem.best_response(i, grad) for i in range(problem.n_agents)))

@@ -59,8 +59,8 @@ class QuadraticSchedule:
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"schedule coefficient must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"schedule coefficient must be positive and finite, got {self.a}")
 
     def size(self, k: int, n_agents: int) -> int:
         return max(math.ceil(self.a * k**2 / n_agents), 1)

@@ -150,6 +150,13 @@ class TestRunSfw:
                      "--stopping-time", "--schedule", "const:2", "--seeds", "2",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_line_search_rule(self, tmp_path, instance_path):
+        out = tmp_path / "ls"
+        assert main(["run-sfw", "--instance", str(instance_path), "--iters", "6",
+                     "--rule", "ls-sfw", "--schedule", "const:3", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out / "sfw.csv")
+        assert all(float(row["beta"]) >= -1e-9 for row in rows[:-1])  # a full solve each step
+
     def test_bad_schedule_is_config_error(self, tmp_path, instance_path):
         assert main(["run-sfw", "--instance", str(instance_path), "--iters", "8",
                      "--schedule", "cubic:3", "--seeds", "2",
@@ -186,6 +193,14 @@ class TestSweep:
         assert main(["sweep", "--instance", str(instance_path), "--algorithm", "fw",
                      "--iters", "10", "--seeds", "0,1", "--out", str(out)]) == EXIT_OK
         assert (out / "summary.csv").exists()
+
+    def test_svg_render(self, tmp_path, instance_path):
+        out = tmp_path / "svgsweep"
+        assert main(["sweep", "--instance", str(instance_path), "--iters", "6",
+                     "--schedule", "const:2", "--seeds", "0,1", "--svg",
+                     "--out", str(out)]) == EXIT_OK
+        svg = (out / "sweep.svg").read_text()
+        assert svg.count("<polyline") == 2  # mean and max gap
 
     def test_stopping_time_requires_sfw(self, tmp_path, instance_path):
         assert main(["sweep", "--instance", str(instance_path), "--algorithm", "fw",
@@ -242,6 +257,14 @@ class TestMisuse:
             ["run-sfw", "--iters", "5", "--rule", "ls-fw"],
             ["sweep", "--iters", "5", "--seeds", "0", "--algorithm", "fw",
              "--rule", "ls-sfw"],
+            ["run-sfw", "--iters", "5", "--seeds", "-1"],
+            ["run-sfw", "--iters", "5", "--schedule", "quad:nan"],
+            ["run-sfw", "--iters", "5", "--schedule", "quad:inf"],
+            ["bounds", "--schedule", "quad:nan"],
+            ["bounds", "--eps", "-1"],
+            ["bounds", "--eps", "nan"],
+            ["bounds", "--eps", "0.5,inf"],
+            ["run-fw", "--iters", "5", "--select-n", "-3"],
         ],
     )
     def test_bad_options_are_config_errors(self, tmp_path, instance_path, args, capsys):
@@ -250,6 +273,55 @@ class TestMisuse:
             args += ["--out", str(tmp_path / "x")]
         assert main(args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--m", "0"), ("--n", "0"), ("--seed", "-2")])
+    def test_bad_generate_options_are_config_errors(self, tmp_path, flag, value, capsys):
+        args = {"--m": "3", "--n": "5", "--seed": "0"}
+        args[flag] = value
+        argv = ["generate", "--out", str(tmp_path / "inst.json")]
+        argv += [part for item in args.items() for part in item]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "inst.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [
+            ("generate", {"m": "x"}),
+            ("generate", {"m": 3.9}),
+            ("generate", {"seed": True}),
+            ("run-fw", {"select_n": "many"}),
+            ("run-fw", {"select_n": 2.5}),
+            ("run-sfw", {"iters": True}),
+            ("run-sfw", {"seeds": [0.5]}),
+            ("run-sfw", {"stopping_time": "false"}),
+            ("run-sfw", {"keep_if_worse": 1}),
+            ("sweep", {"svg": "yes"}),
+        ],
+    )
+    def test_mistyped_config_values_are_config_errors(
+        self, tmp_path, instance_path, command, entry, capsys
+    ):
+        if command == "generate":
+            config = {"m": 3, "n": 5, "seed": 0, "out": str(tmp_path / "inst.json")}
+        else:
+            config = {"instance": str(instance_path), "iters": 3, "seeds": "0",
+                      "out": str(tmp_path / "x")}
+        config.update(entry)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "inst.json").exists() and not (tmp_path / "x").exists()
+
+    def test_integer_strings_and_integral_numbers_are_accepted(self, tmp_path, instance_path):
+        config = {"instance": str(instance_path), "iters": "5", "seeds": [2.0],
+                  "select_n": "3", "keep_if_worse": False, "out": str(tmp_path / "x")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run-fw", "--config", str(path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "x" / "fw.csv")
+        assert len(rows) == 6
 
     def test_run_output_under_a_file_is_config_error(self, tmp_path, instance_path, capsys):
         blocker = tmp_path / "file"

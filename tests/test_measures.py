@@ -5,6 +5,7 @@ import aggfw
 from aggfw import rng as _rng
 from aggfw.bounds import compute_constants, gap_bound_basic, mcdiarmid_tail
 from aggfw.measures import (
+    PRUNE_WEIGHT,
     DiscreteMeasure,
     MeasureProfile,
     contribution_variance,
@@ -12,6 +13,7 @@ from aggfw.measures import (
     relaxed_objective,
     sample_profile,
     select_best,
+    total_contribution_variance,
 )
 from aggfw.problems import DecisionProfile, objective
 
@@ -40,9 +42,15 @@ class TestDiscreteMeasure:
         assert m.decisions == (0,)
         assert m.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_zero_prune_keeps_small_atoms(self):
-        m = DiscreteMeasure(0, [(1.0 - 1e-14, 0), (1e-14, 1)], prune=0.0)
-        assert m.support_size == 2
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="sum to nan"):
+            DiscreteMeasure(0, [(float("nan"), "a"), (0.5, "b")])
+
+    def test_weights_are_summed_left_to_right(self):
+        # 0.1 added ten times from 0.0 is 0.9999999999999999; a compensated
+        # sum (math.fsum, or builtin sum since Python 3.12) gives 1.0.
+        m = DiscreteMeasure(0, [(0.1, token) for token in range(10)])
+        assert m.weights.tolist() == [0.1 / 0.9999999999999999] * 10
 
     def test_profile_ownership_checked(self):
         with pytest.raises(ValueError, match="agent"):
@@ -68,11 +76,36 @@ class TestRelaxedObjective:
         gen = np.random.default_rng(3)
         mu1 = aggfw.bernoulli_profile(miqp_small, gen.random(10))
         mu2 = aggfw.bernoulli_profile(miqp_small, gen.random(10))
-        lhs = relaxed_objective(miqp_small, mix(mu1, mu2, omega, prune=0.0))
+        lhs = relaxed_objective(miqp_small, mix(mu1, mu2, omega))
         rhs = (1 - omega) * relaxed_objective(miqp_small, mu1) + omega * relaxed_objective(
             miqp_small, mu2
         )
         assert lhs <= rhs + 1e-12
+
+
+class TestFreshMeans:
+    """A profile's means are recomputed for whichever instance asks."""
+
+    @pytest.fixture()
+    def two_instances(self):
+        a = aggfw.generate(3, 4, seed=1)
+        return a, aggfw.MiqpInstance(2.0 * a.matrix, 2.0 * a.target)
+
+    def test_relaxed_objective_follows_the_instance(self, two_instances):
+        a, b = two_instances
+        mu = aggfw.bernoulli_profile(a, np.full(4, 0.5))
+        relaxed_objective(a, mu)
+        fresh = aggfw.bernoulli_profile(a, np.full(4, 0.5))
+        assert relaxed_objective(b, mu) == relaxed_objective(b, fresh)
+        assert relaxed_objective(b, mu) != relaxed_objective(a, mu)
+
+    def test_variance_follows_the_instance(self, two_instances):
+        a, b = two_instances
+        m = DiscreteMeasure(0, [(0.5, 0), (0.5, 1)])
+        total_contribution_variance(a, m)
+        fresh = DiscreteMeasure(0, [(0.5, 0), (0.5, 1)])
+        assert total_contribution_variance(b, m) == total_contribution_variance(b, fresh)
+        assert total_contribution_variance(b, m) == 4.0 * total_contribution_variance(a, m)
 
 
 class TestMix:
@@ -100,7 +133,7 @@ class TestMix:
         gen = np.random.default_rng(8)
         mu1 = aggfw.bernoulli_profile(miqp_small, gen.random(10))
         mu2 = aggfw.bernoulli_profile(miqp_small, gen.random(10))
-        mixed = mix(mu1, mu2, 0.37, prune=0.0)
+        mixed = mix(mu1, mu2, 0.37)
         expected = (
             0.63 * mu1.mean_aggregate(miqp_small).values
             + 0.37 * mu2.mean_aggregate(miqp_small).values
@@ -216,10 +249,11 @@ class TestSamplingLaw:
 
 
 class TestPruningEffect:
-    def test_long_run_with_and_without_pruning_agrees(self, miqp_small):
+    def test_long_run_never_reaches_the_threshold(self, miqp_small):
         # 200 canonical iterations: token merging keeps every surviving
-        # weight far above the threshold, so pruning must be a no-op.
-        _, pruned = aggfw.fw_run(miqp_small, 200, prune=1e-12)
-        _, kept = aggfw.fw_run(miqp_small, 200, prune=0.0)
-        assert [r.objective for r in pruned] == [r.objective for r in kept]
-        assert [r.support_sizes for r in pruned] == [r.support_sizes for r in kept]
+        # weight far above the threshold, so no atom is ever pruned after
+        # the first step (omega = 1 replaces the start profile).
+        profile, records = aggfw.fw_run(miqp_small, 200)
+        assert min(w for measure in profile.measures for w in measure.weights) >= PRUNE_WEIGHT
+        sizes = np.array([r.support_sizes for r in records[1:]])
+        assert (np.diff(sizes, axis=0) >= 0).all()

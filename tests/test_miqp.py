@@ -167,3 +167,21 @@ class TestBalancedSigns:
     def test_bernoulli_profile_rejects_points_outside_box(self, miqp_small):
         with pytest.raises(ValueError):
             aggfw.bernoulli_profile(miqp_small, np.full(10, 1.2))
+
+    def test_bernoulli_profile_rejects_nan_points(self, miqp_small):
+        point = np.full(10, 0.5)
+        point[1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]\^N"):
+            aggfw.bernoulli_profile(miqp_small, point)
+
+    def test_best_response_matches_contribution_scores(self):
+        # The closed-form decision equals scoring both contributions,
+        # ties (g1 = 0, including -0.0) going to -1.
+        inst = aggfw.BalancedSignsInstance(3)
+        gen = np.random.default_rng(0)
+        grads = [(-1.0, g1) for g1 in (0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0)]
+        grads += [tuple(g) for g in gen.normal(size=(200, 2)) * 10.0 ** gen.integers(-8, 8, (200, 1))]
+        for g in grads:
+            grad = aggfw.Aggregate(np.array(g), (1, 1))
+            scores = [float(grad.values @ inst.contribution(0, d).values) for d in (-1, 1)]
+            assert inst.best_response(0, grad) == (-1 if scores[0] <= scores[1] else 1)

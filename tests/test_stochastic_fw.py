@@ -39,6 +39,11 @@ class TestSchedules:
         with pytest.raises(ValueError):
             QuadraticSchedule(0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_quadratic_rejects_non_finite_coefficient(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticSchedule(a)
+
 
 class TestSfwStep:
     def test_zero_omega_never_solves_or_moves(self, miqp_small):
