@@ -228,6 +228,8 @@ def parse_seeds(value) -> list[int]:
     seeds = [_as_int(part, "a seed", 0) for part in parts if part != ""]
     if not seeds:
         raise ConfigError("at least one seed is required")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
     return seeds
 
 

@@ -23,12 +23,41 @@ PRUNE_WEIGHT = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
 
 
-def _left_sum(values) -> float:
-    """``0.0 + v0 + v1 + ...`` in order; builtin ``sum`` compensates since Python 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def _combine(base, extra, agents):
+    """Merge the atoms of ``extra`` into the rows of ``base`` (None: no atoms), then check
+    the weight sums, prune and renormalize; ``agents[i]`` owns row i.  ``base`` holds
+    (weights, tokens, sizes): row i has ``sizes[i]`` distinct atoms, then zero weights.
+    ``extra`` holds nonnegative (weights, tokens); an atom of weight 0 adds 0.0 or is pruned.
+    This is the dict merge by token in atom order for all rows at once: the same float
+    operations in the same order, as the zero padding only adds 0.0."""
+    n = len(extra[0])
+    if base is None:
+        base = (np.zeros((n, 1)), np.empty((n, 1), dtype=object), np.zeros(n, dtype=np.intp))
+    (base_weights, base_tokens, sizes), (extra_weights, extra_tokens) = base, extra
+    weights = np.hstack([base_weights, np.zeros_like(extra_weights)])
+    tokens = np.hstack([base_tokens, np.empty_like(extra_tokens)])
+    sizes, rows, columns = sizes.copy(), np.arange(n), np.arange(weights.shape[1])
+    for c in range(extra_weights.shape[1]):
+        same = (tokens == extra_tokens[:, c, None]) & (columns < sizes[:, None])
+        hit = same.any(axis=1)
+        at = np.where(hit, same.argmax(axis=1), sizes)
+        weights[rows, at] += extra_weights[:, c]
+        tokens[~hit, sizes[~hit]] = extra_tokens[~hit, c]
+        sizes += ~hit
+    total = np.cumsum(weights, axis=1)[:, -1]
+    bad = ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN weight fails here too
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"atom weights for agent {agents[row]} sum to {total[row]}, expected 1")
+    keep = weights >= PRUNE_WEIGHT
+    sizes = keep.sum(axis=1)
+    if not sizes.all():
+        agent = agents[int(sizes.argmin())]
+        raise ValueError(f"all atoms of agent {agent} fell below the prune threshold")
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : sizes.max(initial=0)]  # kept first
+    kept = np.take_along_axis(np.where(keep, weights, 0.0), order, axis=1)
+    kept /= np.cumsum(kept, axis=1)[:, -1:]
+    return kept, np.take_along_axis(tokens, order, axis=1), sizes
 
 
 class DiscreteMeasure:
@@ -44,21 +73,14 @@ class DiscreteMeasure:
     __slots__ = ("agent", "atoms")
 
     def __init__(self, agent: int, atoms):
-        merged: dict = {}
-        for weight, decision in atoms:
-            weight = float(weight)
-            if weight < 0:
-                raise ValueError(f"negative atom weight {weight} for agent {agent}")
-            merged[decision] = merged.get(decision, 0.0) + weight
-        total = _left_sum(merged.values())
-        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight fails here too
-            raise ValueError(f"atom weights for agent {agent} sum to {total}, expected 1")
-        kept = [(w, d) for d, w in merged.items() if w >= PRUNE_WEIGHT]
-        if not kept:
-            raise ValueError(f"all atoms of agent {agent} fell below the prune threshold")
-        norm = _left_sum(w for w, _ in kept)
-        self.agent = int(agent)
-        self.atoms = tuple((w / norm, d) for w, d in kept)
+        atoms = list(atoms)
+        # fromiter keeps each token whole: a tuple decision is one token.
+        tokens = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))[None]
+        weights = np.array([[float(w) for w, _ in atoms]])
+        if (weights < 0).any():
+            raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")
+        weights, tokens, _ = _combine(None, (weights, tokens), (agent,))
+        self.agent, self.atoms = int(agent), tuple(zip(weights[0].tolist(), tokens[0]))
 
     @classmethod
     def dirac(cls, agent: int, decision: Decision) -> "DiscreteMeasure":
@@ -95,51 +117,72 @@ class DiscreteMeasure:
 
 
 class MeasureProfile:
-    """One finitely supported distribution per agent."""
+    """One finitely supported distribution per agent.  Row i of the (N, S) arrays
+    ``weights`` and ``tokens`` holds agent i's ``sizes[i]`` atoms in order, then zero
+    weights; ``profile[i]`` builds agent i's ``DiscreteMeasure`` on demand."""
 
-    __slots__ = ("measures", "_table")
+    __slots__ = ("weights", "tokens", "sizes", "_table")
 
     def __init__(self, measures):
         measures = tuple(measures)
+        self.sizes = np.array([m.support_size for m in measures], dtype=np.intp)
+        self.weights = np.zeros((len(measures), self.sizes.max(initial=0)))
+        self.tokens = np.empty(self.weights.shape, dtype=object)
         for i, measure in enumerate(measures):
             if measure.agent != i:
                 raise ValueError(f"measure at position {i} is owned by agent {measure.agent}")
-        self.measures = measures
+            self.weights[i, : self.sizes[i]] = measure.weights
+            self.tokens[i, : self.sizes[i]] = np.fromiter(measure.decisions, dtype=object)
         self._table = None
 
     @classmethod
+    def _of(cls, weights, tokens, sizes) -> "MeasureProfile":
+        p = cls.__new__(cls)
+        p.weights, p.tokens, p.sizes, p._table = weights, tokens, sizes, None
+        return p
+
+    @classmethod
     def dirac(cls, profile: DecisionProfile) -> "MeasureProfile":
-        return cls(DiscreteMeasure.dirac(i, d) for i, d in enumerate(profile.decisions))
+        tokens = np.fromiter(profile.decisions, dtype=object)[:, None]
+        return cls._of(np.ones(tokens.shape), tokens, np.ones(len(tokens), dtype=np.intp))
 
     @property
     def n_agents(self) -> int:
-        return len(self.measures)
+        return len(self.sizes)
 
     @property
     def support_sizes(self) -> tuple[int, ...]:
-        return tuple(m.support_size for m in self.measures)
+        return tuple(self.sizes.tolist())
+
+    @property
+    def measures(self) -> tuple[DiscreteMeasure, ...]:
+        return tuple(self[i] for i in range(self.n_agents))
 
     def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
-        """(1/N) sum_i E_mu_i[g_i]."""
-        rows = np.array([measure.mean_contribution(problem).values for measure in self.measures])
-        return Aggregate(sequential_sum(rows) / self.n_agents, problem.block_dims)
+        """(1/N) sum_i E_mu_i[g_i], each mean summed over its atoms in order."""
+        valid = np.arange(self.weights.shape[1]) < self.sizes[:, None]
+        terms = np.zeros(valid.shape + (problem.total_dim,))
+        terms[valid] = contribution_rows(problem, np.nonzero(valid)[0], self.tokens[valid])
+        terms *= self.weights[:, :, None]
+        # After the first atom's ``+ 0.0`` no partial sum is -0.0, so padding adds nothing.
+        means = sequential_sum(terms.swapaxes(0, 1))
+        return Aggregate(sequential_sum(means) / self.n_agents, problem.block_dims)
 
     def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each measure's ``np.cumsum(weights)`` but its last entry, padded with +inf
-        to an (N, S - 1) array, and the (N, S) atom tokens; built on first use."""
+        """Each row's ``np.cumsum`` of weights but its last atom, +inf past its
+        support, as an (N, S - 1) array built on first use; and the tokens."""
         if self._table is None:
-            width = max(self.support_sizes)
-            cdf = np.full((self.n_agents, width - 1), np.inf)
-            tokens = np.empty((self.n_agents, width), dtype=object)
-            for i, measure in enumerate(self.measures):
-                cdf[i, : measure.support_size - 1] = np.cumsum(measure.weights)[:-1]
-                for j, decision in enumerate(measure.decisions):
-                    tokens[i, j] = decision
-            self._table = cdf, tokens
-        return self._table
+            cdf = np.cumsum(self.weights[:, :-1], axis=1)
+            cdf[np.arange(cdf.shape[1]) >= self.sizes[:, None] - 1] = np.inf
+            self._table = cdf
+        return self._table, self.tokens
 
     def __getitem__(self, i: int) -> DiscreteMeasure:
-        return self.measures[i]
+        agent = range(self.n_agents)[i]
+        measure, size = DiscreteMeasure.__new__(DiscreteMeasure), self.sizes[agent]
+        measure.agent = agent
+        measure.atoms = tuple(zip(self.weights[agent, :size].tolist(), self.tokens[agent, :size]))
+        return measure
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureProfile):
@@ -171,12 +214,9 @@ def mix(profile_a: MeasureProfile, profile_b: MeasureProfile, omega: float) -> M
         raise ValueError(f"mixing weight must lie in [0, 1], got {omega}")
     if profile_a.n_agents != profile_b.n_agents:
         raise ValueError("cannot mix profiles with different agent counts")
-    mixed = []
-    for ma, mb in zip(profile_a.measures, profile_b.measures):
-        atoms = [(w * (1.0 - omega), d) for w, d in ma.atoms]
-        atoms += [(w * omega, d) for w, d in mb.atoms]
-        mixed.append(DiscreteMeasure(ma.agent, atoms))
-    return MeasureProfile(mixed)
+    base = (profile_a.weights * (1.0 - omega), profile_a.tokens, profile_a.sizes)
+    extra = (profile_b.weights * omega, profile_b.tokens)
+    return MeasureProfile._of(*_combine(base, extra, range(profile_a.n_agents)))
 
 
 def _variance(problem: ProblemInstance, measure: DiscreteMeasure, columns: slice) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .measures import DiscreteMeasure, MeasureProfile
+from .measures import MeasureProfile, _combine
 from .problems import Aggregate, Decision, ProblemInstance
 
 
@@ -362,8 +362,6 @@ def bernoulli_profile(instance: MiqpInstance, box_point: np.ndarray):
     box_point = np.asarray(box_point, dtype=float)
     if box_point.shape != (instance.n_agents,) or not ((box_point >= 0) & (box_point <= 1)).all():
         raise ValueError("box point must lie in [0, 1]^N")
-    measures = []
-    for i, p in enumerate(box_point):
-        atoms = [(1.0 - p, 0), (p, 1)]
-        measures.append(DiscreteMeasure(i, [(w, d) for w, d in atoms if w > 0]))
-    return MeasureProfile(measures)
+    weights = np.column_stack([1.0 - box_point, box_point])  # an atom of weight 0 is pruned
+    tokens = np.tile(np.array([0, 1], dtype=object), (len(box_point), 1))
+    return MeasureProfile._of(*_combine(None, (weights, tokens), range(len(box_point))))

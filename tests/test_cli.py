@@ -258,6 +258,8 @@ class TestMisuse:
             ["sweep", "--iters", "5", "--seeds", "0", "--algorithm", "fw",
              "--rule", "ls-sfw"],
             ["run-sfw", "--iters", "5", "--seeds", "-1"],
+            ["sweep", "--iters", "5", "--seeds", "1,1,1"],
+            ["sweep", "--iters", "5", "--seeds", "0,2,0"],
             ["run-sfw", "--iters", "5", "--schedule", "quad:nan"],
             ["run-sfw", "--iters", "5", "--schedule", "quad:inf"],
             ["bounds", "--schedule", "quad:nan"],

@@ -89,6 +89,36 @@ class TestDualGap:
             dual_gap_beta(miqp_small, y, bad)
 
 
+class TestDualGapAtScale:
+    """The absolute tolerance of ``dual_gap_beta`` against rescaled instances.
+
+    Scaling A and the target by s scales the gradient and the aggregate by
+    s, so beta scales by s^2.  A correct oracle keeps beta positive at any
+    scale; a wrong one turns it negative at any scale.
+    """
+
+    @pytest.mark.parametrize("scale", [1e5, 1e8])
+    @pytest.mark.parametrize(
+        "rule", [CanonicalStep(), LineSearchFwStep()], ids=["canonical", "ls-fw"]
+    )
+    def test_rescaled_instance_runs_clean(self, scale, rule):
+        base = aggfw.generate(10, 50, seed=0)
+        scaled = aggfw.MiqpInstance(scale * base.matrix, scale * base.target)
+        _, records = fw_run(scaled, 500, rule=rule)
+        assert min(record.beta for record in records) > 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_wrong_oracle_still_raises(self, scale):
+        class FlippedOracle(aggfw.MiqpInstance):
+            def best_response_all(self, grad):
+                return [1 - d for d in super().best_response_all(grad)]
+
+        base = aggfw.generate(10, 50, seed=0)
+        flipped = FlippedOracle(scale * base.matrix, scale * base.target)
+        with pytest.raises(ValueError, match="dual gap .* is negative"):
+            fw_run(flipped, 5, initial=DecisionProfile((0, 1) * 25))
+
+
 class TestFwRun:
     def test_first_step_replaces_dirac_start(self, miqp_small):
         # omega_0 = 1 under the canonical rule: mu^1 is the Dirac profile
