@@ -180,8 +180,9 @@ class ProblemInstance(ABC):
     def contributions(self, agents: np.ndarray, decisions: Sequence[Decision]) -> np.ndarray:
         """Row r is g_i(d) for agent ``agents[r]`` (an integer array) and ``decisions[r]``.
 
-        Returns a C-ordered (n, q) float64 array.  Overrides must reproduce
-        ``contribution`` bit for bit; callers check finiteness.
+        Returns a fresh C-ordered (n, q) float64 array; callers check finiteness.
+        Overrides must reproduce ``contribution`` bit for bit, with row r depending only
+        on ``(agents[r], decisions[r])``: the stochastic solvers rebuild switched rows only.
         """
         rows = (self.contribution(int(i), d).values for i, d in zip(agents, decisions))
         return np.fromiter(rows, dtype=np.dtype((float, self.total_dim)), count=len(agents))
@@ -223,7 +224,12 @@ def check_profile(problem: ProblemInstance, profile: DecisionProfile) -> None:
         raise ValueError(
             f"profile has {len(profile)} decisions, problem has {problem.n_agents} agents"
         )
-    for i, decision in enumerate(profile.decisions):
+    check_decisions(problem, enumerate(profile.decisions))
+
+
+def check_decisions(problem: ProblemInstance, pairs) -> None:
+    """Reject the first invalid token among the (agent, token) ``pairs``."""
+    for i, decision in pairs:
         if not problem.validate_decision(i, decision):
             raise ValueError(f"invalid decision token {decision!r} for agent {i}")
 
@@ -245,16 +251,27 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0, out=rows)[-1]
 
 
+def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarray:
+    """The checked profile's contribution rows, one per agent."""
+    check_profile(problem, profile)
+    return contribution_rows(problem, np.arange(problem.n_agents), profile.decisions)
+
+
 def aggregate_of(problem: ProblemInstance, profile: DecisionProfile) -> Aggregate:
     """G(x) = (1/N) sum_i g_i(x_i)."""
-    check_profile(problem, profile)
-    rows = contribution_rows(problem, np.arange(problem.n_agents), profile.decisions)
+    rows = profile_rows(problem, profile)
     return Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
 
 
 def objective(problem: ProblemInstance, profile: DecisionProfile) -> float:
     """J(x) = f(G(x))."""
-    values = problem.f_block_values(aggregate_of(problem, profile))
+    return rows_objective(problem, profile_rows(problem, profile))
+
+
+def rows_objective(problem: ProblemInstance, rows: np.ndarray) -> float:
+    """J of the profile whose (N, q) contribution rows are ``rows``, summed in place."""
+    y = Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
+    values = problem.f_block_values(y)
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"non-finite objective value in block {bad}")

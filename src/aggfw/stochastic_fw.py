@@ -27,9 +27,10 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
-    check_profile,
+    check_decisions,
     contribution_rows,
-    objective,
+    profile_rows,
+    rows_objective,
     zero_gradient_profile,
 )
 
@@ -111,8 +112,8 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
 class _Linearization:
     """The objective linearized at a profile, with the solved agents' moves.
 
-    ``delta[i]`` is g_i(best response) - g_i(x_i) for every agent in
-    ``best_response`` and zero for the others.  ``ybar`` and both gaps
+    ``responses`` holds the profile's rows with each agent of ``best_response``
+    at its best response, and ``delta`` their difference.  ``ybar`` and both gaps
     need every agent's best response; otherwise they are None and NaN.
     ``beta`` takes ybar = y + mean(delta), ``beta_rows`` the mean of the
     best-response rows: the two differ in the last bits, and the recorded
@@ -122,30 +123,29 @@ class _Linearization:
 
     y: Aggregate
     best_response: dict
+    responses: np.ndarray
     delta: np.ndarray
     ybar: Aggregate | None
     beta: float
     beta_rows: float
 
 
-def _linearize(problem: ProblemInstance, profile: DecisionProfile, agents) -> _Linearization:
-    """Linearize f at the profile's aggregate and solve the subproblems of ``agents``."""
-    check_profile(problem, profile)
+def _linearize(problem: ProblemInstance, rows: np.ndarray, agents) -> _Linearization:
+    """Linearize f at the profile with contribution rows ``rows`` and solve ``agents``."""
     n, dims = problem.n_agents, problem.block_dims
-    contrib = contribution_rows(problem, np.arange(n), profile.decisions)
-    y = Aggregate(contrib.sum(axis=0) / n, dims)
+    y = Aggregate(rows.sum(axis=0) / n, dims)
     grad = problem.f_grad(y)
     best_response = {i: problem.best_response(i, grad) for i in map(int, agents)}
     solved = np.fromiter(best_response, dtype=np.intp, count=len(best_response))
-    responses = contrib.copy()
+    responses = rows.copy()
     responses[solved] = contribution_rows(problem, solved, list(best_response.values()))
-    delta = responses - contrib
+    delta = responses - rows
     if len(best_response) < n:
-        return _Linearization(y, best_response, delta, None, float("nan"), float("nan"))
+        return _Linearization(y, best_response, responses, delta, None, float("nan"), float("nan"))
     ybar = Aggregate(y.values + delta.sum(axis=0) / n, dims)
     beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims), grad=grad)
     beta = dual_gap_beta(problem, y, ybar, grad=grad)
-    return _Linearization(y, best_response, delta, ybar, beta, beta_rows)
+    return _Linearization(y, best_response, responses, delta, ybar, beta, beta_rows)
 
 
 def sfw_step(
@@ -157,6 +157,7 @@ def sfw_step(
     rng: np.random.Generator,
     keep_if_worse: bool = True,
     linearization: _Linearization | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
@@ -166,54 +167,56 @@ def sfw_step(
     at ``profile``; the trajectory is identical either way.  With
     ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
-    otherwise the best candidate is taken unconditionally.
+    otherwise the best candidate is taken unconditionally.  A caller holding
+    ``profile_rows(problem, profile)`` passes them as ``rows``; the step then
+    reads them instead of rebuilding them, and overwrites them with the
+    returned profile's rows.
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     if n_draws < 1:
         raise ValueError(f"need at least one candidate draw, got {n_draws}")
+    rows = rows if rows is not None else profile_rows(problem, profile)
     switches = bernoulli_matrix(rng, n_draws, problem.n_agents, omega)
     active = np.flatnonzero(switches.any(axis=0))
-    lin = linearization if linearization is not None else _linearize(problem, profile, active)
+    lin = linearization if linearization is not None else _linearize(problem, rows, active)
     value = problem.f_value(lin.y)
+    _check_finite(value, k)
 
     candidates = lin.y.values + (switches.astype(float) @ lin.delta) / problem.n_agents
     candidate_values = problem.f_value_batch(candidates)
+    _check_finite(candidate_values, k)
     best = int(np.argmin(candidate_values))  # first occurrence wins ties
 
-    if keep_if_worse and candidate_values[best] >= value:
-        next_profile = profile
-        accepted = False
-    else:
-        next_profile = _apply_switches(profile, switches[best], lin.best_response)
-        accepted = next_profile != profile
-
-    record = SfwRecord(
-        k=k,
-        objective=value,
-        beta=lin.beta,
-        omega=omega,
-        n_draws=n_draws,
-        active_count=int(active.size),
-        accepted=accepted,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
+    next_profile = profile
+    if not keep_if_worse or candidate_values[best] < value:
+        next_profile = _apply_switches(problem, profile, switches[best], lin, rows)
+    accepted = next_profile != profile
+    record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size, accepted,
+                       (time.perf_counter() - start) * 1e3)
     return next_profile, record
 
 
-def _apply_switches(profile, switches, best_response) -> DecisionProfile:
-    return DecisionProfile(
-        tuple(best_response[i] if switches[i] else d for i, d in enumerate(profile.decisions))
-    )
+def _apply_switches(problem, profile, switches, lin: _Linearization, rows) -> DecisionProfile:
+    moved = {i: lin.best_response[i] for i in np.flatnonzero(switches).tolist()}
+    check_decisions(problem, moved.items())
+    rows[switches] = lin.responses[switches]
+    return DecisionProfile(moved.get(i, d) for i, d in enumerate(profile.decisions))
+
+
+def _check_finite(values, k: int) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite objective at iteration {k}")
 
 
 def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callback, step):
     """Outer loop shared by the stochastic solvers.
 
-    ``step(k, profile, stream)`` returns the next profile and the record
-    of iteration k; ``stream`` is the iteration's Bernoulli stream.  The
-    record's ``wall_ms`` is set here to the whole iteration's time.
+    ``step(k, profile, rows, stream)`` returns the next profile and the
+    record of iteration k and moves the profile's ``rows`` to the next's;
+    ``stream`` is the iteration's Bernoulli stream.  The record's
+    ``wall_ms`` is set here to the whole iteration's time.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
@@ -224,17 +227,18 @@ def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callbac
             stacklevel=3,
         )
     profile = initial if initial is not None else zero_gradient_profile(problem)
+    rows = profile_rows(problem, profile)
     records: list[SfwRecord] = []
     for k in range(n_iters):
         start = time.perf_counter()
-        profile, record = step(k, profile, _rng.stream(seed, _rng.BERNOULLI, 0, k))
+        profile, record = step(k, profile, rows, _rng.stream(seed, _rng.BERNOULLI, 0, k))
         record = dataclasses.replace(record, wall_ms=(time.perf_counter() - start) * 1e3)
         records.append(record)
         if callback is not None:
             callback(record)
     # Terminal sentinel: the final objective, no draws and no step.
     nan = float("nan")
-    records.append(SfwRecord(n_iters, objective(problem, profile), nan, nan, 0, 0, False, 0.0))
+    records.append(SfwRecord(n_iters, rows_objective(problem, rows), nan, nan, 0, 0, False, 0.0))
     return profile, records
 
 
@@ -266,14 +270,14 @@ def sfw_run(
     closed_loop = isinstance(rule, LineSearchSfwStep)
     agents = range(problem.n_agents)
 
-    def step(k, profile, stream):
+    def step(k, profile, rows, stream):
         lin = None
         if closed_loop or not use_active_set:
-            lin = _linearize(problem, profile, agents)
+            lin = _linearize(problem, rows, agents)
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         return sfw_step(
             problem, profile, k, omega, schedule.size(k, problem.n_agents), stream,
-            keep_if_worse=keep_if_worse, linearization=lin,
+            keep_if_worse=keep_if_worse, linearization=lin, rows=rows,
         )
 
     return _iterate(problem, n_iters, seed, initial, callback, step)
@@ -311,6 +315,7 @@ def stopping_time_step(
     rng: np.random.Generator,
     max_draws: int | None = None,
     constants: ProblemConstants | None = None,
+    rows: np.ndarray | None = None,
 ) -> StoppingStep:
     """Draw candidates one at a time until the acceptance inequality holds.
 
@@ -318,6 +323,7 @@ def stopping_time_step(
     relaxed value of the mixed iterate, ``f((1-omega) y + omega ybar)``,
     by more than ``(C1/2 + C0) omega^2``.  If ``max_draws`` candidates
     all fail, the best one seen is returned with ``accepted=False``.
+    ``rows`` are as in ``sfw_step``.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
@@ -327,12 +333,14 @@ def stopping_time_step(
     if max_draws < 1:
         raise ValueError(f"draw budget must be at least 1, got {max_draws}")
     n, dims = problem.n_agents, problem.block_dims
-    lin = _linearize(problem, profile, range(n))
+    rows = rows if rows is not None else profile_rows(problem, profile)
+    lin = _linearize(problem, rows, range(n))
     y_values = lin.y.values
     mixed = (1.0 - omega) * y_values + omega * lin.ybar.values
     threshold = problem.f_value(Aggregate(mixed, dims)) + (
         constants.c1 / 2.0 + constants.c0
     ) * omega**2
+    _check_finite(threshold, k)
 
     best_value, best_switches = np.inf, None
     for j in range(max_draws):
@@ -340,12 +348,13 @@ def stopping_time_step(
         value = problem.f_value(
             Aggregate(y_values + (switches.astype(float) @ lin.delta) / n, dims)
         )
+        _check_finite(value, k)
         if value <= threshold:
-            decisions = _apply_switches(profile, switches, lin.best_response)
+            decisions = _apply_switches(problem, profile, switches, lin, rows)
             return StoppingStep(decisions, j + 1, True, value, lin.beta)
         if value < best_value:
             best_value, best_switches = value, switches
-    decisions = _apply_switches(profile, best_switches, lin.best_response)
+    decisions = _apply_switches(problem, profile, best_switches, lin, rows)
     return StoppingStep(decisions, max_draws, False, best_value, lin.beta)
 
 
@@ -368,21 +377,14 @@ def stopping_time_run(
     constants = compute_constants(problem)
     rule = CanonicalStep()
 
-    def step(k, profile, stream):
-        value = objective(problem, profile)
+    def step(k, profile, rows, stream):
+        value = rows_objective(problem, rows.copy())
         result = stopping_time_step(
-            problem, profile, k, rule.omega(k), stream, max_draws=max_draws, constants=constants
+            problem, profile, k, rule.omega(k), stream,
+            max_draws=max_draws, constants=constants, rows=rows,
         )
-        record = SfwRecord(
-            k=k,
-            objective=value,
-            beta=result.beta,
-            omega=rule.omega(k),
-            n_draws=result.n_draws,
-            active_count=problem.n_agents,
-            accepted=result.accepted,
-            wall_ms=0.0,
-        )
+        record = SfwRecord(k, value, result.beta, rule.omega(k), result.n_draws,
+                           problem.n_agents, result.accepted, 0.0)
         return result.decisions, record
 
     return _iterate(problem, n_iters, seed, initial, callback, step)

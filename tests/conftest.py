@@ -72,13 +72,18 @@ class TableInstance(ProblemInstance):
 
 
 class CountingInstance:
-    """Transparent wrapper counting subproblem solves (one per agent solved)
-    and gradient evaluations."""
+    """Transparent wrapper counting subproblem solves (one per agent solved),
+    gradient evaluations and the rows requested through ``contributions``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
         self.grads = 0
+        self.rows = 0
+
+    def contributions(self, agents, decisions):
+        self.rows += len(agents)
+        return self.inner.contributions(agents, decisions)
 
     def best_response(self, i, grad):
         self.calls += 1

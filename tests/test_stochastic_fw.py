@@ -1,17 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggfw
 from aggfw import rng as _rng
 from aggfw.bounds import ProblemConstants, compute_constants
-from aggfw.frank_wolfe import LineSearchFwStep, LineSearchSfwStep
+from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep
 from aggfw.problems import DecisionProfile, linearized_best_response, objective
-from aggfw.problems import aggregate_of, zero_gradient_profile
+from aggfw.problems import aggregate_of, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
     QuadraticSchedule,
+    _linearize,
     bernoulli_matrix,
     canonical_active_expectation,
     default_draw_cap,
@@ -20,7 +24,29 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-from conftest import CountingInstance
+from conftest import CountingInstance, TableInstance
+
+
+class NanAwayFrom(TableInstance):
+    """Two agents choosing 0 or 1 (scalar contributions 0 and 1) under the
+    target 1, with f finite only at the aggregate ``point``."""
+
+    def __init__(self, point):
+        super().__init__([[[0.0], [1.0]]] * 2, target=[1.0])
+        self.point = np.array([point])
+
+    def f_value(self, y):
+        return super().f_value(y) if np.array_equal(y.values, self.point) else math.nan
+
+
+class RejectsOne(TableInstance):
+    """A table instance whose agent 1 prefers token 1 but may not hold it."""
+
+    def __init__(self):
+        super().__init__([[[0.0], [1.0]]] * 2, target=[1.0])
+
+    def validate_decision(self, i, decision):
+        return super().validate_decision(i, decision) and (i, decision) != (1, 1)
 
 
 class TestSchedules:
@@ -279,3 +305,160 @@ class TestStoppingTime:
         assert default_draw_cap(100, 1) >= 10
         assert default_draw_cap(100, 50) > default_draw_cap(100, 5)
         assert default_draw_cap(100, 10_000) == 1_000_000
+
+
+class TestNonFiniteValues:
+    # From (0, 0) at y = 0 every agent's best response is 1.
+    @pytest.mark.parametrize("keep_if_worse", [True, False])
+    def test_sfw_step_rejects_a_nan_candidate(self, keep_if_worse):
+        inst = NanAwayFrom(0.0)
+        with pytest.raises(ValueError, match="non-finite objective at iteration 3"):
+            sfw_step(inst, DecisionProfile((0, 0)), 3, 1.0, 1, _rng.stream(0),
+                     keep_if_worse=keep_if_worse)
+
+    def test_sfw_step_rejects_a_nan_current_value(self):
+        with pytest.raises(ValueError, match="non-finite objective at iteration 3"):
+            sfw_step(NanAwayFrom(7.0), DecisionProfile((0, 0)), 3, 0.5, 4, _rng.stream(0),
+                     keep_if_worse=False)
+
+    @pytest.mark.parametrize("point", [1.0 / 3.0, 0.0])
+    def test_stopping_time_step_rejects_nan_draws_and_threshold(self, point):
+        # At omega = 1/3 the mixed iterate sits at y = 1/3, which no
+        # candidate (y in {0, 1/2, 1}) reaches: with point 1/3 only the
+        # threshold is finite, with point 0 the threshold is NaN.
+        inst = NanAwayFrom(point)
+        with pytest.raises(ValueError, match="non-finite objective at iteration 4"):
+            stopping_time_step(inst, DecisionProfile((0, 0)), 4, 1.0 / 3.0, _rng.stream(0),
+                               max_draws=20)
+
+
+class TestCarriedRows:
+    """The run loops carry the iterate's contribution rows and rebuild
+    only the rows of the agents they solve."""
+
+    def test_canonical_run_requests_initial_and_active_rows(self, miqp_small):
+        counting = CountingInstance(miqp_small)
+        _, records = sfw_run(counting, 12, ConstantSchedule(3), seed=4)
+        n = miqp_small.n_agents
+        assert counting.rows == n + sum(r.active_count for r in records[:-1])
+
+    def test_stopping_time_run_requests_initial_and_response_rows(self, miqp_small):
+        counting = CountingInstance(miqp_small)
+        stopping_time_run(counting, 7, seed=2)
+        n = miqp_small.n_agents
+        assert counting.rows == n + 7 * n
+
+    @pytest.mark.parametrize("run", ["sfw", "stopping"])
+    def test_invalid_best_response_is_rejected_when_switched_in(self, run):
+        # omega_0 = 1 switches both agents in the first iteration.
+        with pytest.raises(ValueError, match="invalid decision token 1 for agent 1"):
+            if run == "sfw":
+                sfw_run(RejectsOne(), 2, ConstantSchedule(1), seed=0, keep_if_worse=False)
+            else:
+                stopping_time_run(RejectsOne(), 2, seed=0)
+
+    @pytest.mark.parametrize("run", ["sfw", "stopping"])
+    def test_invalid_initial_profile_raises_before_iteration_zero(self, table_instance, run):
+        counting = CountingInstance(table_instance)
+        records = []
+        initial = DecisionProfile((0, 0, 9, 0))
+        with pytest.raises(ValueError, match="invalid decision token 9 for agent 2"):
+            if run == "sfw":
+                sfw_run(counting, 3, ConstantSchedule(2), seed=0, initial=initial,
+                        callback=records.append)
+            else:
+                stopping_time_run(counting, 3, seed=0, initial=initial, callback=records.append)
+        assert records == [] and counting.grads == 0
+
+
+def _bits(records):
+    """Records without their timings, with every float spelled exactly."""
+    return [tuple(map(repr, dataclasses.astuple(dataclasses.replace(r, wall_ms=0.0))))
+            for r in records]
+
+
+def _reference_sfw(problem, n_iters, n_draws, seed, rule, keep_if_worse, use_active_set):
+    """sfw_run rebuilt from public sfw_step calls, each of which rebuilds
+    the profile's rows."""
+    closed_loop = isinstance(rule, LineSearchSfwStep)
+    profile, records = zero_gradient_profile(problem), []
+    for k in range(n_iters):
+        lin = None
+        if closed_loop or not use_active_set:
+            lin = _linearize(problem, profile_rows(problem, profile), range(problem.n_agents))
+        omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
+        profile, record = sfw_step(
+            problem, profile, k, omega, n_draws, _rng.stream(seed, _rng.BERNOULLI, 0, k),
+            keep_if_worse=keep_if_worse, linearization=lin,
+        )
+        records.append(record)
+    nan = math.nan
+    records.append(aggfw.SfwRecord(n_iters, objective(problem, profile), nan, nan, 0, 0, False, 0))
+    return profile, records
+
+
+def _reference_stopping(problem, n_iters, seed):
+    constants = compute_constants(problem)
+    profile, records = zero_gradient_profile(problem), []
+    for k in range(n_iters):
+        omega = CanonicalStep().omega(k)
+        value = objective(problem, profile)
+        result = stopping_time_step(
+            problem, profile, k, omega, _rng.stream(seed, _rng.BERNOULLI, 0, k),
+            constants=constants,
+        )
+        records.append(aggfw.SfwRecord(k, value, result.beta, omega, result.n_draws,
+                                       problem.n_agents, result.accepted, 0))
+        profile = result.decisions
+    nan = math.nan
+    records.append(aggfw.SfwRecord(n_iters, objective(problem, profile), nan, nan, 0, 0, False, 0))
+    return profile, records
+
+
+def _signed_zero_tables(seed):
+    """Table instance whose contributions mix -0.0, 0.0 and normal entries."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for i in range(5):
+        table = rng.normal(size=(2 + i % 3, 2))
+        table[rng.random(table.shape) < 0.4] = -0.0
+        table[rng.random(table.shape) < 0.2] = 0.0
+        tables.append(table)
+    return TableInstance(tables, target=np.array([0.1, -0.3]))
+
+
+INSTANCES = {
+    "miqp": lambda seed: aggfw.generate(3, 8, seed=seed),
+    "signed-zero-table": _signed_zero_tables,
+    "balanced-signs": lambda seed: aggfw.BalancedSignsInstance(9),
+}
+
+
+class TestCarriedRowsEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1),
+        st.sampled_from(["active-set", "full-solve", "ls-sfw"]), st.booleans(),
+        st.integers(1, 5), st.integers(1, 10),
+    )
+    def test_sfw_run_matches_public_steps(self, name, seed, variant, keep, n_draws, n_iters):
+        problem = INSTANCES[name](seed % 1000)
+        rule = CanonicalStep()
+        if variant == "ls-sfw":
+            rule = LineSearchSfwStep.from_constants(compute_constants(problem))
+        use_active_set = variant == "active-set"
+        x, records = sfw_run(problem, n_iters, ConstantSchedule(n_draws), seed, rule=rule,
+                             keep_if_worse=keep, use_active_set=use_active_set)
+        x_ref, records_ref = _reference_sfw(problem, n_iters, n_draws, seed, rule, keep,
+                                            use_active_set)
+        assert x == x_ref
+        assert _bits(records) == _bits(records_ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1), st.integers(1, 10))
+    def test_stopping_time_run_matches_public_steps(self, name, seed, n_iters):
+        problem = INSTANCES[name](seed % 1000)
+        x, records = stopping_time_run(problem, n_iters, seed)
+        x_ref, records_ref = _reference_stopping(problem, n_iters, seed)
+        assert x == x_ref
+        assert _bits(records) == _bits(records_ref)
