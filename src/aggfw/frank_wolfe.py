@@ -21,7 +21,9 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
+    _HeldRows,
     aggregate_of,
+    sequential_sum,
     zero_gradient_profile,
 )
 
@@ -120,22 +122,24 @@ def fw_run(
     """Run the measure-valued Frank-Wolfe algorithm for ``n_iters`` steps.
 
     Starts from the Dirac profile at ``initial`` (default: the
-    best-response profile to a zero gradient).  One record is emitted
-    per iteration plus a terminal record for the final iterate, whose
-    ``omega`` is NaN; the mean aggregate is maintained incrementally,
-    which is exact up to the pruning threshold.
+    best-response profile to a zero gradient), checked as in ``sfw_run``.
+    One record is emitted per iteration plus a terminal record for the
+    final iterate, whose ``omega`` is NaN; the mean aggregate is maintained
+    incrementally, which is exact up to the pruning threshold.
     """
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
     rule = rule if rule is not None else CanonicalStep()
-    profile = MeasureProfile.dirac(initial if initial is not None else zero_gradient_profile(problem))
-    y = profile.mean_aggregate(problem)
+    initial = initial if initial is not None else zero_gradient_profile(problem)
+    profile, y = MeasureProfile.dirac(initial), aggregate_of(problem, initial)
+    held, agents = _HeldRows(problem), np.arange(problem.n_agents)
     records: list[FwRecord] = []
     for k in range(n_iters + 1):
         start = time.perf_counter()
         grad = problem.f_grad(y)
-        xbar = DecisionProfile(tuple(problem.best_response_all(grad)))
-        ybar = aggregate_of(problem, xbar)
+        xbar = DecisionProfile(problem.best_response_all(grad))
+        held.hold(agents, np.fromiter(xbar.decisions, dtype=object))
+        ybar = Aggregate(sequential_sum(held.rows.copy()) / problem.n_agents, problem.block_dims)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)
         value = problem.f_value(y)
         if not np.isfinite(value):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, objective
-from .problems import contribution_rows, sequential_sum
+from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, check_decisions
+from .problems import contribution_rows, rows_objective, sequential_sum
 
 # Atoms below this weight are dropped and the rest renormalized.  With
 # the canonical step sizes an atom added at iteration s still has weight
@@ -158,11 +158,22 @@ class MeasureProfile:
     def measures(self) -> tuple[DiscreteMeasure, ...]:
         return tuple(self[i] for i in range(self.n_agents))
 
+    def _atom_rows(self, problem: ProblemInstance) -> np.ndarray:
+        """The checked atoms' (N, S, q) contribution rows, zero past each support."""
+        if self.n_agents != problem.n_agents:
+            raise ValueError(
+                f"profile has {self.n_agents} measures, problem has {problem.n_agents} agents"
+            )
+        valid = np.arange(self.weights.shape[1]) < self.sizes[:, None]
+        agents, tokens = np.nonzero(valid)[0], self.tokens[valid]
+        check_decisions(problem, zip(agents.tolist(), tokens))
+        rows = np.zeros(valid.shape + (problem.total_dim,))
+        rows[valid] = contribution_rows(problem, agents, tokens)
+        return rows
+
     def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
         """(1/N) sum_i E_mu_i[g_i], each mean summed over its atoms in order."""
-        valid = np.arange(self.weights.shape[1]) < self.sizes[:, None]
-        terms = np.zeros(valid.shape + (problem.total_dim,))
-        terms[valid] = contribution_rows(problem, np.nonzero(valid)[0], self.tokens[valid])
+        terms = self._atom_rows(problem)
         terms *= self.weights[:, :, None]
         # After the first atom's ``+ 0.0`` no partial sum is -0.0, so padding adds nothing.
         means = sequential_sum(terms.swapaxes(0, 1))
@@ -192,10 +203,6 @@ class MeasureProfile:
 
 def relaxed_objective(problem: ProblemInstance, profile: MeasureProfile) -> float:
     """Relaxed objective: f evaluated at the mean aggregate of the profile."""
-    if profile.n_agents != problem.n_agents:
-        raise ValueError(
-            f"profile has {profile.n_agents} measures, problem has {problem.n_agents} agents"
-        )
     values = problem.f_block_values(profile.mean_aggregate(problem))
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -247,10 +254,14 @@ def sample_profile(profile: MeasureProfile, rng: np.random.Generator) -> Decisio
     the last atom when rounding leaves the CDF below the uniform: the
     table leaves the last CDF entry out.
     """
-    cdf, tokens = profile._sampling_table()
-    uniforms = rng.random(profile.n_agents)
-    index = (cdf <= uniforms[:, None]).sum(axis=1)
-    return DecisionProfile(tuple(tokens[np.arange(profile.n_agents), index]))
+    columns = _sample_columns(profile, rng)
+    return DecisionProfile(profile.tokens[np.arange(profile.n_agents), columns])
+
+
+def _sample_columns(profile: MeasureProfile, rng: np.random.Generator) -> np.ndarray:
+    """Each agent's sampled atom column, from one ``rng.random(N)`` call."""
+    cdf, _ = profile._sampling_table()
+    return (cdf <= rng.random(profile.n_agents)[:, None]).sum(axis=1)
 
 
 def select_best(
@@ -262,15 +273,16 @@ def select_best(
     """Selection method: sample ``n_draws`` profiles, keep the lowest objective.
 
     Ties are broken by first occurrence, so the result is a deterministic
-    function of the stream state.
+    function of the stream state.  The draws are ``sample_profile``'s; each
+    atom is checked and its contribution row built once, up front.
     """
     if n_draws < 1:
         raise ValueError(f"selection needs at least one draw, got {n_draws}")
-    best_profile = None
-    best_value = np.inf
+    atom_rows, agents = profile._atom_rows(problem), np.arange(profile.n_agents)
+    best_columns, best_value = None, np.inf
     for _ in range(n_draws):
-        candidate = sample_profile(profile, rng)
-        value = objective(problem, candidate)
+        columns = _sample_columns(profile, rng)
+        value = rows_objective(problem, atom_rows[agents, columns])
         if value < best_value:
-            best_profile, best_value = candidate, value
-    return best_profile, best_value
+            best_columns, best_value = columns, value
+    return DecisionProfile(profile.tokens[agents, best_columns]), best_value

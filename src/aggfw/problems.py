@@ -182,7 +182,8 @@ class ProblemInstance(ABC):
 
         Returns a fresh C-ordered (n, q) float64 array; callers check finiteness.
         Overrides must reproduce ``contribution`` bit for bit, with row r depending only
-        on ``(agents[r], decisions[r])``: the stochastic solvers rebuild switched rows only.
+        on ``(agents[r], decisions[r])``.  The solvers reuse rows by token, so ``==``-equal
+        tokens must give bit-identical rows (and validity), and token ``==`` must return a bool.
         """
         rows = (self.contribution(int(i), d).values for i, d in zip(agents, decisions))
         return np.fromiter(rows, dtype=np.dtype((float, self.total_dim)), count=len(agents))
@@ -218,15 +219,6 @@ class ProblemInstance(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no reference relaxed solver")
 
 
-def check_profile(problem: ProblemInstance, profile: DecisionProfile) -> None:
-    """Reject profiles of the wrong arity or with invalid tokens."""
-    if len(profile) != problem.n_agents:
-        raise ValueError(
-            f"profile has {len(profile)} decisions, problem has {problem.n_agents} agents"
-        )
-    check_decisions(problem, enumerate(profile.decisions))
-
-
 def check_decisions(problem: ProblemInstance, pairs) -> None:
     """Reject the first invalid token among the (agent, token) ``pairs``."""
     for i, decision in pairs:
@@ -252,9 +244,31 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
 
 
 def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarray:
-    """The checked profile's contribution rows, one per agent."""
-    check_profile(problem, profile)
+    """The profile's contribution rows, one per agent, once its arity and tokens check."""
+    if len(profile) != problem.n_agents:
+        raise ValueError(
+            f"profile has {len(profile)} decisions, problem has {problem.n_agents} agents"
+        )
+    check_decisions(problem, enumerate(profile.decisions))
     return contribution_rows(problem, np.arange(problem.n_agents), profile.decisions)
+
+
+class _HeldRows:
+    """One held token per agent with its contribution row.  ``hold`` validates and
+    rebuilds only the rows whose token differs under ``==`` from the held one."""
+
+    def __init__(self, problem: ProblemInstance):
+        self.problem = problem
+        self.tokens = np.full(problem.n_agents, np.nan, dtype=object)  # NaN equals no token
+        self.rows = np.empty((problem.n_agents, problem.total_dim))
+
+    def hold(self, agents: np.ndarray, tokens: np.ndarray) -> None:
+        """Hold ``tokens[r]`` (an object array) for agent ``agents[r]``."""
+        changed = ~(self.tokens[agents] == tokens)
+        agents, tokens = agents[changed], tokens[changed]
+        check_decisions(self.problem, zip(agents.tolist(), tokens))
+        self.rows[agents] = contribution_rows(self.problem, agents, tokens)
+        self.tokens[agents] = tokens
 
 
 def aggregate_of(problem: ProblemInstance, profile: DecisionProfile) -> Aggregate:

@@ -27,8 +27,7 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
-    check_decisions,
-    contribution_rows,
+    _HeldRows,
     profile_rows,
     rows_objective,
     zero_gradient_profile,
@@ -112,17 +111,17 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
 class _Linearization:
     """The objective linearized at a profile, with the solved agents' moves.
 
-    ``responses`` holds the profile's rows with each agent of ``best_response``
-    at its best response, and ``delta`` their difference.  ``ybar`` and both gaps
-    need every agent's best response; otherwise they are None and NaN.
-    ``beta`` takes ybar = y + mean(delta), ``beta_rows`` the mean of the
-    best-response rows: the two differ in the last bits, and the recorded
-    trajectories pin the first in the records and the second in the
-    closed-loop step sizes.
+    ``tokens`` and ``responses`` hold the profile's tokens and rows with each
+    solved agent at its best response, and ``delta`` the rows' difference.
+    ``ybar`` and both gaps need every agent's best response; otherwise they
+    are None and NaN.  ``beta`` takes ybar = y + mean(delta), ``beta_rows``
+    the mean of the best-response rows: the two differ in the last bits, and
+    the recorded trajectories pin the first in the records and the second in
+    the closed-loop step sizes.
     """
 
     y: Aggregate
-    best_response: dict
+    tokens: np.ndarray
     responses: np.ndarray
     delta: np.ndarray
     ybar: Aggregate | None
@@ -130,22 +129,27 @@ class _Linearization:
     beta_rows: float
 
 
-def _linearize(problem: ProblemInstance, rows: np.ndarray, agents) -> _Linearization:
-    """Linearize f at the profile with contribution rows ``rows`` and solve ``agents``."""
+def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linearization:
+    """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents``.  A response
+    row is the agent's own row if its token is unchanged, else the row ``held`` holds."""
     n, dims = problem.n_agents, problem.block_dims
     y = Aggregate(rows.sum(axis=0) / n, dims)
     grad = problem.f_grad(y)
-    best_response = {i: problem.best_response(i, grad) for i in map(int, agents)}
-    solved = np.fromiter(best_response, dtype=np.intp, count=len(best_response))
+    solved = np.fromiter(agents, dtype=np.intp)
+    best = np.fromiter((problem.best_response(i, grad) for i in solved.tolist()), dtype=object)
+    tokens = np.fromiter(profile.decisions, dtype=object)
+    moved = solved[~(tokens[solved] == best)]
+    tokens[solved] = best
+    held.hold(moved, tokens[moved])
     responses = rows.copy()
-    responses[solved] = contribution_rows(problem, solved, list(best_response.values()))
+    responses[moved] = held.rows[moved]
     delta = responses - rows
-    if len(best_response) < n:
-        return _Linearization(y, best_response, responses, delta, None, float("nan"), float("nan"))
+    if solved.size < n:
+        return _Linearization(y, tokens, responses, delta, None, float("nan"), float("nan"))
     ybar = Aggregate(y.values + delta.sum(axis=0) / n, dims)
     beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims), grad=grad)
     beta = dual_gap_beta(problem, y, ybar, grad=grad)
-    return _Linearization(y, best_response, responses, delta, ybar, beta, beta_rows)
+    return _Linearization(y, tokens, responses, delta, ybar, beta, beta_rows)
 
 
 def sfw_step(
@@ -157,7 +161,7 @@ def sfw_step(
     rng: np.random.Generator,
     keep_if_worse: bool = True,
     linearization: _Linearization | None = None,
-    rows: np.ndarray | None = None,
+    rows: tuple[np.ndarray, _HeldRows] | None = None,
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
@@ -168,19 +172,19 @@ def sfw_step(
     ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
     otherwise the best candidate is taken unconditionally.  A caller holding
-    ``profile_rows(problem, profile)`` passes them as ``rows``; the step then
-    reads them instead of rebuilding them, and overwrites them with the
-    returned profile's rows.
+    ``profile_rows(problem, profile)`` and the ``_HeldRows`` of the agents'
+    earlier best responses passes the pair as ``rows``; the step then reads
+    them instead of rebuilding them, and updates both for the returned profile.
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     if n_draws < 1:
         raise ValueError(f"need at least one candidate draw, got {n_draws}")
-    rows = rows if rows is not None else profile_rows(problem, profile)
+    rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
     switches = bernoulli_matrix(rng, n_draws, problem.n_agents, omega)
     active = np.flatnonzero(switches.any(axis=0))
-    lin = linearization if linearization is not None else _linearize(problem, rows, active)
+    lin = linearization or _linearize(problem, profile, rows, held, active)
     value = problem.f_value(lin.y)
     _check_finite(value, k)
 
@@ -191,18 +195,16 @@ def sfw_step(
 
     next_profile = profile
     if not keep_if_worse or candidate_values[best] < value:
-        next_profile = _apply_switches(problem, profile, switches[best], lin, rows)
+        next_profile = _apply_switches(profile, switches[best], lin, rows)
     accepted = next_profile != profile
     record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size, accepted,
                        (time.perf_counter() - start) * 1e3)
     return next_profile, record
 
 
-def _apply_switches(problem, profile, switches, lin: _Linearization, rows) -> DecisionProfile:
-    moved = {i: lin.best_response[i] for i in np.flatnonzero(switches).tolist()}
-    check_decisions(problem, moved.items())
+def _apply_switches(profile, switches, lin: _Linearization, rows) -> DecisionProfile:
     rows[switches] = lin.responses[switches]
-    return DecisionProfile(moved.get(i, d) for i, d in enumerate(profile.decisions))
+    return DecisionProfile(np.where(switches, lin.tokens, np.fromiter(profile.decisions, object)))
 
 
 def _check_finite(values, k: int) -> None:
@@ -214,7 +216,7 @@ def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callbac
     """Outer loop shared by the stochastic solvers.
 
     ``step(k, profile, rows, stream)`` returns the next profile and the
-    record of iteration k and moves the profile's ``rows`` to the next's;
+    record of iteration k and moves ``rows`` (as in ``sfw_step``) to the next's;
     ``stream`` is the iteration's Bernoulli stream.  The record's
     ``wall_ms`` is set here to the whole iteration's time.
     """
@@ -227,11 +229,11 @@ def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callbac
             stacklevel=3,
         )
     profile = initial if initial is not None else zero_gradient_profile(problem)
-    rows = profile_rows(problem, profile)
+    rows, held = profile_rows(problem, profile), _HeldRows(problem)
     records: list[SfwRecord] = []
     for k in range(n_iters):
         start = time.perf_counter()
-        profile, record = step(k, profile, rows, _rng.stream(seed, _rng.BERNOULLI, 0, k))
+        profile, record = step(k, profile, (rows, held), _rng.stream(seed, _rng.BERNOULLI, 0, k))
         record = dataclasses.replace(record, wall_ms=(time.perf_counter() - start) * 1e3)
         records.append(record)
         if callback is not None:
@@ -268,12 +270,10 @@ def sfw_run(
     if not isinstance(rule, (CanonicalStep, LineSearchSfwStep)):
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
-    agents = range(problem.n_agents)
+    agents, full_solve = range(problem.n_agents), closed_loop or not use_active_set
 
     def step(k, profile, rows, stream):
-        lin = None
-        if closed_loop or not use_active_set:
-            lin = _linearize(problem, rows, agents)
+        lin = _linearize(problem, profile, *rows, agents) if full_solve else None
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         return sfw_step(
             problem, profile, k, omega, schedule.size(k, problem.n_agents), stream,
@@ -315,7 +315,7 @@ def stopping_time_step(
     rng: np.random.Generator,
     max_draws: int | None = None,
     constants: ProblemConstants | None = None,
-    rows: np.ndarray | None = None,
+    rows: tuple[np.ndarray, _HeldRows] | None = None,
 ) -> StoppingStep:
     """Draw candidates one at a time until the acceptance inequality holds.
 
@@ -333,8 +333,8 @@ def stopping_time_step(
     if max_draws < 1:
         raise ValueError(f"draw budget must be at least 1, got {max_draws}")
     n, dims = problem.n_agents, problem.block_dims
-    rows = rows if rows is not None else profile_rows(problem, profile)
-    lin = _linearize(problem, rows, range(n))
+    rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
+    lin = _linearize(problem, profile, rows, held, range(n))
     y_values = lin.y.values
     mixed = (1.0 - omega) * y_values + omega * lin.ybar.values
     threshold = problem.f_value(Aggregate(mixed, dims)) + (
@@ -350,11 +350,11 @@ def stopping_time_step(
         )
         _check_finite(value, k)
         if value <= threshold:
-            decisions = _apply_switches(problem, profile, switches, lin, rows)
+            decisions = _apply_switches(profile, switches, lin, rows)
             return StoppingStep(decisions, j + 1, True, value, lin.beta)
         if value < best_value:
             best_value, best_switches = value, switches
-    decisions = _apply_switches(problem, profile, best_switches, lin, rows)
+    decisions = _apply_switches(profile, best_switches, lin, rows)
     return StoppingStep(decisions, max_draws, False, best_value, lin.beta)
 
 
@@ -378,7 +378,7 @@ def stopping_time_run(
     rule = CanonicalStep()
 
     def step(k, profile, rows, stream):
-        value = rows_objective(problem, rows.copy())
+        value = rows_objective(problem, rows[0].copy())
         result = stopping_time_step(
             problem, profile, k, rule.omega(k), stream,
             max_draws=max_draws, constants=constants, rows=rows,

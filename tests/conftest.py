@@ -71,6 +71,53 @@ class TableInstance(ProblemInstance):
         return np.stack([t.max(axis=0) - t.min(axis=0) for t in self.tables])
 
 
+class FloatResponses(TableInstance):
+    """A table instance whose best response is a float, ``1.0`` where the
+    iterate may hold ``1``, for about half the gradients (by a digit of the
+    first entry): tokens equal under ``==`` arrive as distinct objects."""
+
+    def validate_decision(self, i, decision):
+        return decision in range(len(self.tables[i]))
+
+    def best_response(self, i, grad):
+        index = super().best_response(i, grad)
+        return float(index) if int(abs(grad.values[0]) * 1e6) % 2 else index
+
+
+def signed_zero_tables(seed):
+    """Table instance whose contributions mix -0.0, 0.0 and normal entries."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for i in range(5):
+        table = rng.normal(size=(2 + i % 3, 2))
+        table[rng.random(table.shape) < 0.4] = -0.0
+        table[rng.random(table.shape) < 0.2] = 0.0
+        tables.append(table)
+    return TableInstance(tables, target=np.array([0.1, -0.3]))
+
+
+def cycling_tables(seed, cls=TableInstance):
+    """Six agents choosing among 3 to 5 points of the unit circle around the
+    target 0: the best response is the point facing away from the aggregate,
+    so it turns with the aggregate and comes back to earlier tokens."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for i in range(6):
+        angles = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(3 + i % 3) / (3 + i % 3)
+        tables.append(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    return cls(tables, target=np.zeros(2))
+
+
+# Instances for the properties that compare a solver with a reference loop.
+INSTANCES = {
+    "miqp": lambda seed: aggfw.generate(3, 8, seed=seed),
+    "signed-zero-table": signed_zero_tables,
+    "balanced-signs": lambda seed: aggfw.BalancedSignsInstance(9),
+    "cycling-table": cycling_tables,
+    "float-responses": lambda seed: cycling_tables(seed, FloatResponses),
+}
+
+
 class CountingInstance:
     """Transparent wrapper counting subproblem solves (one per agent solved),
     gradient evaluations and the rows requested through ``contributions``."""

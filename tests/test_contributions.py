@@ -271,3 +271,24 @@ class TestMeasuresOnTheHook:
         assert select_best(miqp_small, profile, 30, _rng.stream(4, _rng.SELECTION)) == (
             best, best_value
         )
+
+    @PROPERTY
+    @given(measure_profiles(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_select_best_equals_the_sample_and_objective_loop(self, case, n_draws, seed):
+        problem, profile = case
+        best, value = select_best(problem, profile, n_draws, np.random.default_rng(seed))
+        rng, best_ref, value_ref = np.random.default_rng(seed), None, np.inf
+        for _ in range(n_draws):
+            candidate = sample_profile(profile, rng)
+            candidate_value = objective(problem, candidate)
+            if candidate_value < value_ref:
+                best_ref, value_ref = candidate, candidate_value
+        assert repr(best.decisions) == repr(best_ref.decisions)
+        assert repr(value) == repr(value_ref)
+
+    def test_select_best_checks_atoms_no_draw_picks(self):
+        problem = TableInstance([np.eye(2)] * 2, np.zeros(2))
+        rare = DiscreteMeasure(1, [(1.0 - 1e-9, 1), (1e-9, 5)])
+        profile = MeasureProfile([DiscreteMeasure(0, [(1.0, 0)]), rare])
+        with pytest.raises(ValueError, match="invalid decision token 5 for agent 1"):
+            select_best(problem, profile, 3, _rng.stream(0, _rng.SELECTION))

@@ -1,10 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggfw
 from aggfw.bounds import compute_constants
 from aggfw.frank_wolfe import (
     CanonicalStep,
+    FwRecord,
     LineSearchFwStep,
     LineSearchSfwStep,
     dual_gap_beta,
@@ -12,14 +18,15 @@ from aggfw.frank_wolfe import (
     fw_with_selection,
     quadratic_curvature,
 )
-from aggfw.measures import MeasureProfile, relaxed_objective
+from aggfw.measures import MeasureProfile, mix, relaxed_objective
 from aggfw.problems import (
     Aggregate,
     DecisionProfile,
+    aggregate_of,
     linearized_best_response,
     zero_gradient_profile,
 )
-from conftest import CountingInstance
+from conftest import INSTANCES, CountingInstance
 
 
 class TestStepRules:
@@ -187,6 +194,64 @@ class TestFwRun:
     def test_rejects_zero_iterations(self, miqp_small):
         with pytest.raises(ValueError):
             fw_run(miqp_small, 0)
+
+    def test_rejects_an_invalid_initial_token(self):
+        counting = CountingInstance(aggfw.generate(3, 5, seed=0))
+        with pytest.raises(ValueError, match="invalid decision token 2 for agent 2"):
+            fw_run(counting, 3, initial=DecisionProfile((0, 0, 2, 0, 0)))
+        assert counting.grads == 0
+
+    def test_rejects_an_initial_profile_of_the_wrong_arity(self):
+        with pytest.raises(ValueError, match="profile has 3 decisions, problem has 5 agents"):
+            fw_run(aggfw.generate(3, 5, seed=0), 3, initial=DecisionProfile((0, 0, 0)))
+
+    def test_builds_rows_only_for_changed_best_responses(self, miqp_small):
+        # N rows for the start and N for the first best responses, then 29
+        # for those that changed over the next 12 linearizations; rebuilding
+        # every best response took N + 13 N = 140.
+        counting = CountingInstance(miqp_small)
+        fw_run(counting, 12, rule=LineSearchFwStep())
+        assert counting.rows == 2 * miqp_small.n_agents + 29
+
+
+def _reference_fw(problem, n_iters, rule):
+    """fw_run as a loop that rebuilds the best-response aggregate every
+    iteration with ``aggregate_of``."""
+    profile = MeasureProfile.dirac(zero_gradient_profile(problem))
+    y, records = profile.mean_aggregate(problem), []
+    for k in range(n_iters + 1):
+        grad = problem.f_grad(y)
+        xbar = DecisionProfile(tuple(problem.best_response_all(grad)))
+        ybar = aggregate_of(problem, xbar)
+        beta = dual_gap_beta(problem, y, ybar, grad=grad)
+        value = problem.f_value(y)
+        if k == n_iters:
+            records.append(FwRecord(k, value, beta, math.nan, profile.support_sizes, 0.0))
+            return profile, records
+        omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
+        records.append(FwRecord(k, value, beta, omega, profile.support_sizes, 0.0))
+        profile = mix(profile, MeasureProfile.dirac(xbar), omega)
+        y = (1.0 - omega) * y + omega * ybar
+
+
+def _bits(records):
+    return [tuple(map(repr, dataclasses.astuple(dataclasses.replace(r, wall_ms=0.0))))
+            for r in records]
+
+
+class TestHeldRowsEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 999), st.booleans(),
+           st.integers(1, 25))
+    def test_fw_run_matches_the_aggregate_of_loop(self, name, seed, line_search, n_iters):
+        problem = INSTANCES[name](seed)
+        rule = LineSearchFwStep() if line_search else CanonicalStep()
+        profile, records = fw_run(problem, n_iters, rule=rule)
+        profile_ref, records_ref = _reference_fw(problem, n_iters, rule)
+        assert _bits(records) == _bits(records_ref)
+        assert profile.weights.tobytes() == profile_ref.weights.tobytes()
+        assert repr(profile.tokens) == repr(profile_ref.tokens)  # the same token objects
+        assert profile.support_sizes == profile_ref.support_sizes
 
 
 class TestFwWithSelection:

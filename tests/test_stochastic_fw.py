@@ -11,7 +11,7 @@ from aggfw import rng as _rng
 from aggfw.bounds import ProblemConstants, compute_constants
 from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep
 from aggfw.problems import DecisionProfile, linearized_best_response, objective
-from aggfw.problems import aggregate_of, profile_rows, zero_gradient_profile
+from aggfw.problems import _HeldRows, aggregate_of, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
     QuadraticSchedule,
@@ -24,7 +24,7 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-from conftest import CountingInstance, TableInstance
+from conftest import INSTANCES, CountingInstance, TableInstance, cycling_tables
 
 
 class NanAwayFrom(TableInstance):
@@ -333,20 +333,36 @@ class TestNonFiniteValues:
 
 
 class TestCarriedRows:
-    """The run loops carry the iterate's contribution rows and rebuild
-    only the rows of the agents they solve."""
+    """The run loops carry the iterate's contribution rows and the rows of
+    each agent's last best response that differed from its token.  A solved
+    agent's response row is built only when its best response differs from
+    both; each row is built once per (agent, token) change."""
 
     def test_canonical_run_requests_initial_and_active_rows(self, miqp_small):
         counting = CountingInstance(miqp_small)
         _, records = sfw_run(counting, 12, ConstantSchedule(3), seed=4)
         n = miqp_small.n_agents
-        assert counting.rows == n + sum(r.active_count for r in records[:-1])
+        # N initial rows plus 18 changed responses, of 76 solved agents.
+        assert sum(r.active_count for r in records[:-1]) == 76
+        assert counting.rows == n + 18
 
     def test_stopping_time_run_requests_initial_and_response_rows(self, miqp_small):
         counting = CountingInstance(miqp_small)
         stopping_time_run(counting, 7, seed=2)
         n = miqp_small.n_agents
-        assert counting.rows == n + 7 * n
+        assert counting.rows == n + 37  # 7 * N = 70 rows before they were held
+
+    def test_held_rows_serve_repeated_best_responses(self, monkeypatch):
+        # On the cycling tables an agent's best response often returns to the
+        # one it had while the iterate kept its token: that row is held.
+        offered = []
+        hold = _HeldRows.hold
+        monkeypatch.setattr(_HeldRows, "hold", lambda self, agents, tokens: (
+            offered.append(len(agents)), hold(self, agents, tokens))[1])
+        counting = CountingInstance(cycling_tables(3))
+        sfw_run(counting, 10, ConstantSchedule(3), seed=3)
+        built = counting.rows - counting.n_agents
+        assert sum(offered) > built > 0
 
     @pytest.mark.parametrize("run", ["sfw", "stopping"])
     def test_invalid_best_response_is_rejected_when_switched_in(self, run):
@@ -385,7 +401,8 @@ def _reference_sfw(problem, n_iters, n_draws, seed, rule, keep_if_worse, use_act
     for k in range(n_iters):
         lin = None
         if closed_loop or not use_active_set:
-            lin = _linearize(problem, profile_rows(problem, profile), range(problem.n_agents))
+            rows = profile_rows(problem, profile)
+            lin = _linearize(problem, profile, rows, _HeldRows(problem), range(problem.n_agents))
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         profile, record = sfw_step(
             problem, profile, k, omega, n_draws, _rng.stream(seed, _rng.BERNOULLI, 0, k),
@@ -415,25 +432,6 @@ def _reference_stopping(problem, n_iters, seed):
     return profile, records
 
 
-def _signed_zero_tables(seed):
-    """Table instance whose contributions mix -0.0, 0.0 and normal entries."""
-    rng = np.random.default_rng(seed)
-    tables = []
-    for i in range(5):
-        table = rng.normal(size=(2 + i % 3, 2))
-        table[rng.random(table.shape) < 0.4] = -0.0
-        table[rng.random(table.shape) < 0.2] = 0.0
-        tables.append(table)
-    return TableInstance(tables, target=np.array([0.1, -0.3]))
-
-
-INSTANCES = {
-    "miqp": lambda seed: aggfw.generate(3, 8, seed=seed),
-    "signed-zero-table": _signed_zero_tables,
-    "balanced-signs": lambda seed: aggfw.BalancedSignsInstance(9),
-}
-
-
 class TestCarriedRowsEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -451,7 +449,7 @@ class TestCarriedRowsEquivalence:
                              keep_if_worse=keep, use_active_set=use_active_set)
         x_ref, records_ref = _reference_sfw(problem, n_iters, n_draws, seed, rule, keep,
                                             use_active_set)
-        assert x == x_ref
+        assert repr(x.decisions) == repr(x_ref.decisions)  # the same token types
         assert _bits(records) == _bits(records_ref)
 
     @settings(max_examples=20, deadline=None)
@@ -460,5 +458,5 @@ class TestCarriedRowsEquivalence:
         problem = INSTANCES[name](seed % 1000)
         x, records = stopping_time_run(problem, n_iters, seed)
         x_ref, records_ref = _reference_stopping(problem, n_iters, seed)
-        assert x == x_ref
+        assert repr(x.decisions) == repr(x_ref.decisions)  # the same token types
         assert _bits(records) == _bits(records_ref)
