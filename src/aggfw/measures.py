@@ -158,8 +158,8 @@ class MeasureProfile:
     def measures(self) -> tuple[DiscreteMeasure, ...]:
         return tuple(self[i] for i in range(self.n_agents))
 
-    def _atom_rows(self, problem: ProblemInstance) -> np.ndarray:
-        """The checked atoms' (N, S, q) contribution rows, zero past each support."""
+    def _atom_rows(self, problem: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+        """The checked atoms' rows, then a zero row; and the (N, S) slots' index into them."""
         if self.n_agents != problem.n_agents:
             raise ValueError(
                 f"profile has {self.n_agents} measures, problem has {problem.n_agents} agents"
@@ -167,13 +167,12 @@ class MeasureProfile:
         valid = np.arange(self.weights.shape[1]) < self.sizes[:, None]
         agents, tokens = np.nonzero(valid)[0], self.tokens[valid]
         check_decisions(problem, zip(agents.tolist(), tokens))
-        rows = np.zeros(valid.shape + (problem.total_dim,))
-        rows[valid] = contribution_rows(problem, agents, tokens)
-        return rows
+        rows = np.vstack([contribution_rows(problem, agents, tokens), np.zeros(problem.total_dim)])
+        return rows, np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
 
     def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
         """(1/N) sum_i E_mu_i[g_i], each mean summed over its atoms in order."""
-        terms = self._atom_rows(problem)
+        terms = np.take(*self._atom_rows(problem), axis=0)  # (N, S, q), zero past each support
         terms *= self.weights[:, :, None]
         # After the first atom's ``+ 0.0`` no partial sum is -0.0, so padding adds nothing.
         means = sequential_sum(terms.swapaxes(0, 1))
@@ -278,11 +277,11 @@ def select_best(
     """
     if n_draws < 1:
         raise ValueError(f"selection needs at least one draw, got {n_draws}")
-    atom_rows, agents = profile._atom_rows(problem), np.arange(profile.n_agents)
+    (atom_rows, index), agents = profile._atom_rows(problem), np.arange(profile.n_agents)
     best_columns, best_value = None, np.inf
     for _ in range(n_draws):
         columns = _sample_columns(profile, rng)
-        value = rows_objective(problem, atom_rows[agents, columns])
+        value = rows_objective(problem, atom_rows[index[agents, columns]])
         if value < best_value:
             best_columns, best_value = columns, value
     return DecisionProfile(profile.tokens[agents, best_columns]), best_value

@@ -173,7 +173,8 @@ class ProblemInstance(ABC):
         return float(np.sum(self.f_block_values(y)))
 
     def f_value_batch(self, flat_points: np.ndarray) -> np.ndarray:
-        """f evaluated on each row of a (B, q) matrix of flat aggregates."""
+        """f evaluated on each row of a (B, q) matrix of flat aggregates.  Row i's value
+        may depend on row i only: the solvers evaluate candidates in blocks of rows."""
         dims = self.block_dims
         return np.array([self.f_value(Aggregate(row, dims)) for row in flat_points])
 

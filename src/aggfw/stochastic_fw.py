@@ -41,8 +41,8 @@ class ConstantSchedule:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"draw count must be at least 1, got {self.n}")
+        if not _is_count(self.n):
+            raise ValueError(f"draw count must be an integer of at least 1, got {self.n!r}")
 
     def size(self, k: int, n_agents: int) -> int:
         return self.n
@@ -85,6 +85,15 @@ class SfwRecord:
     wall_ms: float
 
 
+def _is_count(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+# Elements per row block of uniforms or of f_value_batch input (256 KiB of float64).
+# 2**15 to 2**17 time alike; 2**13 makes quad:24 runs ~3% slower in per-call overhead.
+_BLOCK = 1 << 15
+
+
 def bernoulli_matrix(
     rng: np.random.Generator, n_draws: int, n_agents: int, omega: float
 ) -> np.ndarray:
@@ -93,9 +102,12 @@ def bernoulli_matrix(
     Entry (j, i) is the Bernoulli(omega) variable of candidate j and
     agent i; row-major generation makes the stream consumption follow
     the lexicographic (k, j, i) order when the caller keys the stream by
-    the iteration.
+    the iteration, also when drawn a block of rows at a time, as here.
     """
-    return rng.random((n_draws, n_agents)) < omega
+    switches, step = np.empty((n_draws, n_agents), dtype=bool), max(_BLOCK // n_agents, 1)
+    for j in range(0, n_draws, step):
+        np.less(rng.random(switches[j:j + step].shape), omega, out=switches[j:j + step])
+    return switches
 
 
 def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
@@ -127,6 +139,11 @@ class _Linearization:
     ybar: Aggregate | None
     beta: float
     beta_rows: float
+
+
+def _workspace(n_max: int, n_agents: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate buffers: the switches as floats, (n_max, N), and the points, (n_max, q)."""
+    return np.empty((n_max, n_agents)), np.empty((n_max, dim))
 
 
 def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linearization:
@@ -161,7 +178,7 @@ def sfw_step(
     rng: np.random.Generator,
     keep_if_worse: bool = True,
     linearization: _Linearization | None = None,
-    rows: tuple[np.ndarray, _HeldRows] | None = None,
+    rows: tuple[np.ndarray, _HeldRows, tuple] | None = None,
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
@@ -172,24 +189,31 @@ def sfw_step(
     ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
     otherwise the best candidate is taken unconditionally.  A caller holding
-    ``profile_rows(problem, profile)`` and the ``_HeldRows`` of the agents'
-    earlier best responses passes the pair as ``rows``; the step then reads
-    them instead of rebuilding them, and updates both for the returned profile.
+    ``profile_rows(problem, profile)``, the ``_HeldRows`` of the agents' earlier best
+    responses and a ``_workspace`` of ``n_draws`` rows or more passes them as ``rows``;
+    the step then reads and updates them instead of building them for this call.
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
-    if n_draws < 1:
-        raise ValueError(f"need at least one candidate draw, got {n_draws}")
-    rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
-    switches = bernoulli_matrix(rng, n_draws, problem.n_agents, omega)
+    if not _is_count(n_draws):
+        raise ValueError(f"need an integer of at least one candidate draw, got {n_draws!r}")
+    n = problem.n_agents
+    rows, held, work = rows or (profile_rows(problem, profile), _HeldRows(problem), None)
+    switches = bernoulli_matrix(rng, n_draws, n, omega)
     active = np.flatnonzero(switches.any(axis=0))
     lin = linearization or _linearize(problem, profile, rows, held, active)
     value = problem.f_value(lin.y)
     _check_finite(value, k)
 
-    candidates = lin.y.values + (switches.astype(float) @ lin.delta) / problem.n_agents
-    candidate_values = problem.f_value_batch(candidates)
+    floats, points = (b[:n_draws] for b in work or _workspace(n_draws, n, problem.total_dim))
+    np.copyto(floats, switches)
+    np.matmul(floats, lin.delta, out=points)  # one product: BLAS bits follow its shape
+    points /= n
+    points += lin.y.values
+    candidate_values, step = np.empty(n_draws), max(_BLOCK // points.shape[1], 1)
+    for j in range(0, n_draws, step):
+        candidate_values[j:j + step] = problem.f_value_batch(points[j:j + step])
     _check_finite(candidate_values, k)
     best = int(np.argmin(candidate_values))  # first occurrence wins ties
 
@@ -271,13 +295,18 @@ def sfw_run(
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
     agents, full_solve = range(problem.n_agents), closed_loop or not use_active_set
+    sizes = [schedule.size(k, problem.n_agents) for k in range(n_iters)]
+    for k, size in enumerate(sizes):
+        if not _is_count(size):
+            raise ValueError(f"schedule gave {size!r} draws at iteration {k}; need an integer >= 1")
+    work = _workspace(max(sizes, default=1), problem.n_agents, problem.total_dim)
 
     def step(k, profile, rows, stream):
         lin = _linearize(problem, profile, *rows, agents) if full_solve else None
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         return sfw_step(
-            problem, profile, k, omega, schedule.size(k, problem.n_agents), stream,
-            keep_if_worse=keep_if_worse, linearization=lin, rows=rows,
+            problem, profile, k, omega, sizes[k], stream,
+            keep_if_worse=keep_if_worse, linearization=lin, rows=(*rows, work),
         )
 
     return _iterate(problem, n_iters, seed, initial, callback, step)

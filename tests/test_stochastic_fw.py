@@ -1,16 +1,18 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aggfw
 from aggfw import rng as _rng
+from aggfw import stochastic_fw
 from aggfw.bounds import ProblemConstants, compute_constants
 from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep
-from aggfw.problems import DecisionProfile, linearized_best_response, objective
+from aggfw.problems import Aggregate, DecisionProfile, linearized_best_response, objective
 from aggfw.problems import _HeldRows, aggregate_of, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
@@ -64,6 +66,27 @@ class TestSchedules:
             ConstantSchedule(0)
         with pytest.raises(ValueError):
             QuadraticSchedule(0.0)
+
+    @pytest.mark.parametrize("n", [math.nan, 2.5, 3.0, True, np.bool_(True), "3", -2, None])
+    def test_constant_rejects_a_count_it_cannot_run(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            ConstantSchedule(n)
+
+    def test_constant_accepts_numpy_integers(self, miqp_small):
+        schedule = ConstantSchedule(np.int64(3))
+        _, records = sfw_run(miqp_small, 2, schedule, seed=0)
+        assert [r.n_draws for r in records[:-1]] == [3, 3]
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, math.nan, True, np.float64(4.0)])
+    def test_sfw_run_checks_every_size_before_iteration_0(self, miqp_small, bad):
+        class Custom:
+            def size(self, k, n_agents):
+                return bad if k == 3 else 2
+
+        seen = []
+        with pytest.raises(ValueError, match="iteration 3"):
+            sfw_run(miqp_small, 5, Custom(), seed=0, callback=seen.append)
+        assert seen == []
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_quadratic_rejects_non_finite_coefficient(self, a):
@@ -145,6 +168,12 @@ class TestSfwStep:
             sfw_step(miqp_small, start, 0, 1.5, 1, _rng.stream(0))
         with pytest.raises(ValueError):
             sfw_step(miqp_small, start, 0, 0.5, 0, _rng.stream(0))
+
+    @pytest.mark.parametrize("n_draws", [True, 2.5, 3.0, math.nan])
+    def test_rejects_a_draw_count_that_is_not_an_integer(self, miqp_small, n_draws):
+        start = zero_gradient_profile(miqp_small)
+        with pytest.raises(ValueError, match="integer"):
+            sfw_step(miqp_small, start, 0, 0.5, n_draws, _rng.stream(0))
 
 
 class TestSfwRun:
@@ -393,9 +422,9 @@ def _bits(records):
             for r in records]
 
 
-def _reference_sfw(problem, n_iters, n_draws, seed, rule, keep_if_worse, use_active_set):
+def _reference_sfw(problem, n_iters, schedule, seed, rule, keep_if_worse, use_active_set):
     """sfw_run rebuilt from public sfw_step calls, each of which rebuilds
-    the profile's rows."""
+    the profile's rows and allocates its own candidate buffers."""
     closed_loop = isinstance(rule, LineSearchSfwStep)
     profile, records = zero_gradient_profile(problem), []
     for k in range(n_iters):
@@ -405,7 +434,8 @@ def _reference_sfw(problem, n_iters, n_draws, seed, rule, keep_if_worse, use_act
             lin = _linearize(problem, profile, rows, _HeldRows(problem), range(problem.n_agents))
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         profile, record = sfw_step(
-            problem, profile, k, omega, n_draws, _rng.stream(seed, _rng.BERNOULLI, 0, k),
+            problem, profile, k, omega, schedule.size(k, problem.n_agents),
+            _rng.stream(seed, _rng.BERNOULLI, 0, k),
             keep_if_worse=keep_if_worse, linearization=lin,
         )
         records.append(record)
@@ -447,8 +477,8 @@ class TestCarriedRowsEquivalence:
         use_active_set = variant == "active-set"
         x, records = sfw_run(problem, n_iters, ConstantSchedule(n_draws), seed, rule=rule,
                              keep_if_worse=keep, use_active_set=use_active_set)
-        x_ref, records_ref = _reference_sfw(problem, n_iters, n_draws, seed, rule, keep,
-                                            use_active_set)
+        x_ref, records_ref = _reference_sfw(problem, n_iters, ConstantSchedule(n_draws), seed,
+                                            rule, keep, use_active_set)
         assert repr(x.decisions) == repr(x_ref.decisions)  # the same token types
         assert _bits(records) == _bits(records_ref)
 
@@ -460,3 +490,150 @@ class TestCarriedRowsEquivalence:
         x_ref, records_ref = _reference_stopping(problem, n_iters, seed)
         assert repr(x.decisions) == repr(x_ref.decisions)  # the same token types
         assert _bits(records) == _bits(records_ref)
+
+
+class UpAndDown:
+    """Draw counts around multiples of ``block`` that rise and fall, so a run's
+    later steps reuse smaller leading views of buffers sized for its largest."""
+
+    def __init__(self, block):
+        self.sizes = (1, 2 * block + 5, 7, block, block + 1, 3, 3 * block, 2, 2 * block, block - 1)
+
+    def size(self, k, n_agents):
+        return self.sizes[k % len(self.sizes)]
+
+
+class RecordingBatches:
+    """Transparent wrapper keeping a copy of every ``f_value_batch`` input and output."""
+
+    def __init__(self, inner):
+        self.inner, self.points, self.values = inner, [], []
+
+    def f_value_batch(self, points):
+        values = self.inner.f_value_batch(points)
+        self.points.append(points.copy())
+        self.values.append(values.copy())
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _block_rows(width):
+    return max(stochastic_fw._BLOCK // width, 1)
+
+
+class TestCandidateWorkspace:
+    """The blocked, buffer-reusing candidate path against one product and one
+    ``f_value_batch`` call on fresh arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 7, 81, None]),  # rows per f_value_batch call; None: the module's
+        st.sampled_from([3, 100]),
+        st.sampled_from([1, 2, 5, 100]),
+        st.sampled_from(["1", "2", "block-1", "block", "block+1", "several"]),
+        st.sampled_from([0.0, 1.0, None]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(None, 100, 100, "several", None, 0, True)  # a split product differs here
+    @example(7, 100, 3, "several", 0.5, 1, True)
+    def test_values_and_choice_match_the_reference(
+        self, rows_per_block, q, n, case, omega, seed, run_state
+    ):
+        size = stochastic_fw._BLOCK if rows_per_block is None else rows_per_block * q
+        with mock.patch.object(stochastic_fw, "_BLOCK", size):
+            self._check_candidates(q, n, case, omega, seed, run_state)
+
+    def _check_candidates(self, q, n, case, omega, seed, run_state):
+        block = _block_rows(q)
+        n_draws = {"1": 1, "2": 2, "block-1": block - 1, "block": block,
+                   "block+1": block + 1, "several": 3 * block + 2}[case]
+        if n_draws < 1:
+            return
+        gen = np.random.default_rng(seed)
+        omega = gen.random() if omega is None else omega
+        problem = RecordingBatches(aggfw.generate(q, n, seed=seed % 1000))
+        # delta with all-zero rows, -0.0 entries and a row of -0.0; y with -0.0 entries.
+        delta = gen.normal(size=(n, q))
+        delta[gen.random((n, q)) < 0.3] = -0.0
+        delta[gen.random(n) < 0.4] = 0.0
+        delta[gen.integers(n)] = -0.0
+        y = gen.random(q) * n / 2
+        y[gen.random(q) < 0.2] = -0.0
+        profile = DecisionProfile((0,) * n)
+        lin = stochastic_fw._Linearization(
+            Aggregate(y, problem.block_dims), np.ones(n, dtype=object), np.zeros((n, q)),
+            delta, None, math.nan, math.nan,
+        )
+        rows = None
+        if run_state:  # a larger, dirty workspace: only its leading rows may be read
+            work = stochastic_fw._workspace(n_draws + 5, n, q)
+            for buffer in work:
+                buffer.fill(math.nan)
+            rows = (np.zeros((n, q)), _HeldRows(problem), work)
+        nxt, _ = sfw_step(problem, profile, 0, omega, n_draws, _rng.stream(seed),
+                          keep_if_worse=False, linearization=lin, rows=rows)
+
+        switches = _rng.stream(seed).random((n_draws, n)) < omega
+        points = y + (switches.astype(float) @ delta) / n
+        values = problem.inner.f_value_batch(points)
+        assert all(len(b) <= block for b in problem.points)
+        assert _same_bits(np.concatenate(problem.points), points)
+        assert _same_bits(np.concatenate(problem.values), values)
+        chosen = switches[int(np.argmin(values))]
+        assert nxt.decisions == tuple(np.where(chosen, 1, 0).tolist())
+
+    @pytest.mark.parametrize("n_agents", [1, 7, 100, 3000, 40000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_bernoulli_matrix_is_one_draw_of_the_stream(self, n_agents, offset):
+        block = _block_rows(n_agents)
+        n_draws = 3 * block + 2 if offset is None else block + offset
+        if n_draws < 1:
+            return
+        gen, ref = _rng.stream(11, _rng.BERNOULLI, 0, 4), _rng.stream(11, _rng.BERNOULLI, 0, 4)
+        switches = bernoulli_matrix(gen, n_draws, n_agents, 0.37)
+        assert _same_bits(switches, ref.random((n_draws, n_agents)) < 0.37)
+        assert _same_bits(gen.random(9), ref.random(9))  # the same stream position
+
+    @pytest.mark.parametrize(
+        "schedule, n_iters",
+        [(QuadraticSchedule(24.0), 40), (UpAndDown(_block_rows(100)), 20)],
+        ids=["quad:24", "up-and-down"],
+    )
+    @pytest.mark.parametrize("variant", ["active-set", "ls-sfw"])
+    def test_sfw_run_matches_public_steps(self, schedule, n_iters, variant):
+        # q = 100, so f_value_batch blocks hold 327 rows; quad:24 reaches 1217 draws.
+        problem = aggfw.generate(100, 30, seed=7)
+        rule = CanonicalStep()
+        if variant == "ls-sfw":
+            rule = LineSearchSfwStep.from_constants(compute_constants(problem))
+        x, records = sfw_run(problem, n_iters, schedule, 5, rule=rule)
+        x_ref, records_ref = _reference_sfw(problem, n_iters, schedule, 5, rule, True, True)
+        assert max(r.n_draws for r in records) >= 3 * _block_rows(100)
+        assert repr(x.decisions) == repr(x_ref.decisions)
+        assert _bits(records) == _bits(records_ref)
+
+    @pytest.mark.parametrize(
+        "schedule", [ConstantSchedule(40), QuadraticSchedule(24.0), UpAndDown(3)],
+        ids=["const:40", "quad:24", "up-and-down"],
+    )
+    def test_one_workspace_per_run(self, miqp_medium, monkeypatch, schedule):
+        sizes = []
+
+        def counted(n_max, n_agents, dim):
+            sizes.append(n_max)
+            return workspace(n_max, n_agents, dim)
+
+        workspace = stochastic_fw._workspace
+        monkeypatch.setattr(stochastic_fw, "_workspace", counted)
+        sfw_run(miqp_medium, 25, schedule, seed=1)
+        assert sizes == [max(schedule.size(k, 30) for k in range(25))]
+        sfw_run(miqp_medium, 25, schedule, seed=1, rule=LineSearchSfwStep.from_constants(
+            compute_constants(miqp_medium)))
+        assert len(sizes) == 2
