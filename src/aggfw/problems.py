@@ -236,12 +236,16 @@ def contribution_rows(problem: ProblemInstance, agents, decisions) -> np.ndarray
 
 
 def sequential_sum(rows: np.ndarray) -> np.ndarray:
-    """The loop ``total = 0.0; total += row`` in row order, in place in ``rows``.
+    """The loop ``total = 0.0; total += row`` in row order, as a new array.
 
-    ``rows.sum(axis=0)`` turns pairwise for one column or F-ordered rows.
+    numpy sums pairwise only along the fast axis in memory and adds one row at a time
+    along any other, so with a contiguous last axis wider than 1 a reduce over axis 0 is
+    the loop.  Otherwise (one column, F-ordered or column-strided rows) ``cumsum`` is,
+    save that a column of -0.0 sums to -0.0, which ``+ 0.0`` maps to the loop's 0.0.
     """
-    rows[0] += 0.0  # the loop's 0.0 + -0.0 is 0.0
-    return np.cumsum(rows, axis=0, out=rows)[-1]
+    if rows.shape[-1] > 1 and rows.strides[-1] == rows.itemsize:
+        return np.add.reduce(rows, axis=0, initial=0.0)
+    return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
 def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarray:
@@ -284,7 +288,7 @@ def objective(problem: ProblemInstance, profile: DecisionProfile) -> float:
 
 
 def rows_objective(problem: ProblemInstance, rows: np.ndarray) -> float:
-    """J of the profile whose (N, q) contribution rows are ``rows``, summed in place."""
+    """J of the profile whose (N, q) contribution rows are ``rows``."""
     y = Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
     values = problem.f_block_values(y)
     if not np.isfinite(values).all():

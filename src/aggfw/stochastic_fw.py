@@ -359,8 +359,8 @@ def stopping_time_step(
     constants = constants if constants is not None else compute_constants(problem)
     if max_draws is None:
         max_draws = default_draw_cap(problem.n_agents, k)
-    if max_draws < 1:
-        raise ValueError(f"draw budget must be at least 1, got {max_draws}")
+    if not _is_count(max_draws):
+        raise ValueError(f"draw budget must be an integer of at least 1, got {max_draws!r}")
     n, dims = problem.n_agents, problem.block_dims
     rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
     lin = _linearize(problem, profile, rows, held, range(n))
@@ -407,7 +407,7 @@ def stopping_time_run(
     rule = CanonicalStep()
 
     def step(k, profile, rows, stream):
-        value = rows_objective(problem, rows[0].copy())
+        value = rows_objective(problem, rows[0])
         result = stopping_time_step(
             problem, profile, k, rule.omega(k), stream,
             max_draws=max_draws, constants=constants, rows=rows,

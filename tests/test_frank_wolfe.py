@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aggfw
+from aggfw import rng as _rng
 from aggfw.bounds import compute_constants
 from aggfw.frank_wolfe import (
     CanonicalStep,
@@ -18,7 +20,7 @@ from aggfw.frank_wolfe import (
     fw_with_selection,
     quadratic_curvature,
 )
-from aggfw.measures import MeasureProfile, mix, relaxed_objective
+from aggfw.measures import MeasureProfile, mix, relaxed_objective, select_best
 from aggfw.problems import (
     Aggregate,
     DecisionProfile,
@@ -252,6 +254,23 @@ class TestHeldRowsEquivalence:
         assert profile.weights.tobytes() == profile_ref.weights.tobytes()
         assert repr(profile.tokens) == repr(profile_ref.tokens)  # the same token objects
         assert profile.support_sizes == profile_ref.support_sizes
+
+
+class TestFwThenSelection:
+    """``fw_run`` then ``select_best`` on ``miqp_small``: digests of the records (as
+    ``_bits``), terminal objective and beta, and the selection, pinned bit for bit."""
+
+    @pytest.mark.parametrize("rule, digest, objective, beta", [
+        (CanonicalStep(), "a3a9dcd033d058f3", "0x1.a41081aecdaebp-6", "0x1.b3f61c38fff45p-10"),
+        (LineSearchFwStep(), "698111e4ed106fe7", "0x1.9c19a85bea699p-6", "0x1.d1eafea47df9dp-12"),
+    ])
+    def test_records_and_selection_are_pinned(self, miqp_small, rule, digest, objective, beta):
+        profile, records = fw_run(miqp_small, 15, rule=rule)
+        assert hashlib.sha256(repr(_bits(records)).encode()).hexdigest()[:16] == digest
+        assert (records[-1].objective.hex(), records[-1].beta.hex()) == (objective, beta)
+        decisions, value = select_best(miqp_small, profile, 25, _rng.stream(3, _rng.SELECTION))
+        assert value.hex() == "0x1.aa70c3c7bb5cep-6"
+        assert decisions.decisions == (0, 1, 0, 0, 1, 0, 0, 1, 0, 0)
 
 
 class TestFwWithSelection:

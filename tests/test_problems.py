@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import aggfw
 from aggfw.bounds import compute_constants
 from aggfw.problems import (
     Aggregate,
     DecisionProfile,
+    _HeldRows,
     aggregate_of,
     linearized_best_response,
     objective,
+    profile_rows,
+    rows_objective,
+    sequential_sum,
     zero_gradient_profile,
 )
 
@@ -167,3 +174,88 @@ class TestZeroGradientProfile:
 
     def test_balanced_start_is_all_minus_one(self):
         assert zero_gradient_profile(aggfw.BalancedSignsInstance(4)).decisions == (-1,) * 4
+
+
+def loop_sum(rows):
+    """The reference: agents added one row at a time, in order, from 0.0."""
+    total = 0.0
+    for row in rows:
+        total += row
+    return total
+
+
+def int_bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.int64)
+
+
+# Signed zeros, magnitudes from 1e-20 to 1e20 and values that cancel, so that any
+# other order of additions (pairwise, or a first row not added to 0.0) shows.
+SUM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 1e16, -1e16, 1e-20, -1e20, 1e20]),
+    st.floats(-1e20, 1e20, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def summed_rows(draw):
+    """Rows in every layout the package hands ``sequential_sum``, and some it does not."""
+    n, q = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 7]))
+    layout = draw(st.sampled_from(["C", "F", "row-step", "column-step", "broadcast", "swapaxes"]))
+    if layout == "swapaxes":  # the (S, N, q) view ``mean_aggregate`` sums over atoms
+        terms = draw(hnp.arrays(float, (draw(st.integers(1, 6)), n, q), elements=SUM_ENTRIES))
+        return terms.swapaxes(0, 1)
+    base = draw(hnp.arrays(float, (2 * n, 2 * q), elements=SUM_ENTRIES))
+    if draw(st.booleans()):
+        base[:, 0] = -0.0  # a column whose loop sum is 0.0, not -0.0
+    if layout == "row-step":
+        return base[::2, :q]
+    if layout == "column-step":
+        return base[:n, ::2]
+    if layout == "broadcast":
+        return np.broadcast_to(base[0, :q], (n, q))
+    rows = base[:n, :q].copy()
+    return np.asfortranarray(rows) if layout == "F" else rows
+
+
+class TestSequentialSum:
+    @settings(max_examples=300, deadline=None)
+    @given(summed_rows())
+    @example(np.full((3, 1), -0.0))  # the loop's 0.0 + -0.0 is 0.0, in either path
+    @example(np.full((3, 2), -0.0))
+    def test_equals_the_row_loop_and_leaves_rows_unchanged(self, rows):
+        before = rows.copy()
+        total = sequential_sum(rows)
+        assert np.array_equal(int_bits(total), int_bits(loop_sum(rows)))
+        assert np.array_equal(int_bits(rows), int_bits(before))
+
+
+class ReadOnlyRows(aggfw.MiqpInstance):
+    """An instance whose contribution rows come back read-only."""
+
+    def contributions(self, agents, decisions):
+        rows = super().contributions(agents, decisions)
+        rows.setflags(write=False)
+        return rows
+
+
+class TestSumsLeaveRowsUntouched:
+    def test_rows_objective(self, miqp_small):
+        rows = profile_rows(miqp_small, DecisionProfile((0, 1) * 5))
+        before = rows.copy()
+        value = rows_objective(miqp_small, rows)
+        assert np.array_equal(int_bits(rows), int_bits(before))
+        assert rows_objective(miqp_small, rows) == value
+
+    def test_held_rows(self, miqp_small):
+        held, agents = _HeldRows(miqp_small), np.arange(miqp_small.n_agents)
+        held.hold(agents, np.array([1, 0] * 5, dtype=object))
+        before = held.rows.copy()
+        rows_objective(miqp_small, held.rows)
+        sequential_sum(held.rows)
+        assert np.array_equal(int_bits(held.rows), int_bits(before))
+
+    def test_aggregate_of_and_objective_on_read_only_rows(self, miqp_small):
+        inst = ReadOnlyRows(miqp_small.matrix, miqp_small.target)
+        x = DecisionProfile((1, 0) * 5)
+        assert aggregate_of(inst, x).values.tobytes() == aggregate_of(miqp_small, x).values.tobytes()
+        assert objective(inst, x) == objective(miqp_small, x)

@@ -330,6 +330,22 @@ class TestStoppingTime:
         assert counting.grads == 6
         assert counting.calls == 6 * miqp_small.n_agents
 
+    @pytest.mark.parametrize("max_draws", [True, np.bool_(True), 2.5, 3.0, math.nan, "3", 0, -1])
+    def test_rejects_a_draw_budget_that_is_not_a_positive_integer(self, miqp_small, max_draws):
+        start = zero_gradient_profile(miqp_small)
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            stopping_time_step(miqp_small, start, 4, 1.0 / 3.0, _rng.stream(0),
+                               max_draws=max_draws)
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            stopping_time_run(miqp_small, 3, seed=0, max_draws=max_draws)
+
+    def test_numpy_integer_draw_budget(self, miqp_small):
+        start = zero_gradient_profile(miqp_small)
+        step = [stopping_time_step(miqp_small, start, 4, 1.0 / 3.0,
+                                   _rng.stream(2, _rng.BERNOULLI, 0, 4), max_draws=budget)
+                for budget in (np.int64(7), 7)]
+        assert step[0] == step[1]
+
     def test_draw_cap_grows_with_k(self):
         assert default_draw_cap(100, 1) >= 10
         assert default_draw_cap(100, 50) > default_draw_cap(100, 5)
