@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, check_decisions
+from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance
 from .problems import contribution_rows, rows_objective, sequential_sum
 
 # Atoms below this weight are dropped and the rest renormalized.  With
@@ -77,17 +77,13 @@ class DiscreteMeasure:
         # fromiter keeps each token whole: a tuple decision is one token.
         tokens = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))[None]
         weights = np.array([[float(w) for w, _ in atoms]])
-        if (weights < 0).any():
-            raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")
-        weights, tokens, _ = _combine(None, (weights, tokens), (agent,))
-        self.agent, self.atoms = int(agent), tuple(zip(weights[0].tolist(), tokens[0]))
+        self.agent = int(agent)
+        self.atoms = MeasureProfile.from_atoms(weights, tokens, (agent,))[0].atoms
 
     @classmethod
     def dirac(cls, agent: int, decision: Decision) -> "DiscreteMeasure":
-        """The point mass at ``decision``: one atom of weight 1, nothing to merge."""
-        measure = cls.__new__(cls)
-        measure.agent, measure.atoms = int(agent), ((1.0, decision),)
-        return measure
+        """The point mass at ``decision``."""
+        return cls(agent, [(1.0, decision)])
 
     @property
     def support_size(self) -> int:
@@ -101,11 +97,16 @@ class DiscreteMeasure:
     def decisions(self) -> tuple:
         return tuple(d for _, d in self.atoms)
 
+    def _rows(self, problem: ProblemInstance) -> tuple[np.ndarray, Aggregate]:
+        """The atoms' contribution rows, once the agent and every token check; and E_mu[g_i]."""
+        if not 0 <= self.agent < problem.n_agents:
+            raise ValueError(f"agent {self.agent} out of range for {problem.n_agents} agents")
+        rows = contribution_rows(problem, [self.agent] * self.support_size, self.decisions)
+        return rows, Aggregate(sequential_sum(rows * self.weights[:, None]), problem.block_dims)
+
     def mean_contribution(self, problem: ProblemInstance) -> Aggregate:
         """E_mu[g_i]."""
-        rows = contribution_rows(problem, [self.agent] * self.support_size, self.decisions)
-        rows *= self.weights[:, None]
-        return Aggregate(sequential_sum(rows), problem.block_dims)
+        return self._rows(problem)[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
@@ -142,6 +143,16 @@ class MeasureProfile:
         return p
 
     @classmethod
+    def from_atoms(cls, weights, tokens, agents=None) -> "MeasureProfile":
+        """Row i merges the raw atoms ``zip(weights[i], tokens[i])`` of (N, S) arrays, as
+        ``_combine`` does; ``agents[i]`` (default i) names row i in errors."""
+        agents = range(len(weights)) if agents is None else agents
+        if (weights < 0).any():
+            agent = agents[int((weights < 0).any(axis=1).argmax())]
+            raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")
+        return cls._of(*_combine(None, (weights, tokens), agents))
+
+    @classmethod
     def dirac(cls, profile: DecisionProfile) -> "MeasureProfile":
         tokens = np.fromiter(profile.decisions, dtype=object)[:, None]
         return cls._of(np.ones(tokens.shape), tokens, np.ones(len(tokens), dtype=np.intp))
@@ -166,17 +177,19 @@ class MeasureProfile:
             )
         valid = np.arange(self.weights.shape[1]) < self.sizes[:, None]
         agents, tokens = np.nonzero(valid)[0], self.tokens[valid]
-        check_decisions(problem, zip(agents.tolist(), tokens))
         rows = np.vstack([contribution_rows(problem, agents, tokens), np.zeros(problem.total_dim)])
         return rows, np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
 
-    def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
-        """(1/N) sum_i E_mu_i[g_i], each mean summed over its atoms in order."""
+    def _means(self, problem: ProblemInstance) -> np.ndarray:
+        """The (N, q) means E_mu_i[g_i], each summed over its atoms in order."""
         terms = np.take(*self._atom_rows(problem), axis=0)  # (N, S, q), zero past each support
         terms *= self.weights[:, :, None]
         # After the first atom's ``+ 0.0`` no partial sum is -0.0, so padding adds nothing.
-        means = sequential_sum(terms.swapaxes(0, 1))
-        return Aggregate(sequential_sum(means) / self.n_agents, problem.block_dims)
+        return sequential_sum(terms.swapaxes(0, 1))
+
+    def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
+        """(1/N) sum_i E_mu_i[g_i]."""
+        return Aggregate(sequential_sum(self._means(problem)) / self.n_agents, problem.block_dims)
 
     def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's ``np.cumsum`` of weights but its last atom, +inf past its
@@ -202,11 +215,7 @@ class MeasureProfile:
 
 def relaxed_objective(problem: ProblemInstance, profile: MeasureProfile) -> float:
     """Relaxed objective: f evaluated at the mean aggregate of the profile."""
-    values = problem.f_block_values(profile.mean_aggregate(problem))
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ValueError(f"non-finite relaxed objective value in block {bad}")
-    return float(values.sum())
+    return rows_objective(problem, profile._means(problem))
 
 
 def mix(profile_a: MeasureProfile, profile_b: MeasureProfile, omega: float) -> MeasureProfile:
@@ -226,9 +235,8 @@ def mix(profile_a: MeasureProfile, profile_b: MeasureProfile, omega: float) -> M
 
 
 def _variance(problem: ProblemInstance, measure: DiscreteMeasure, columns: slice) -> float:
-    mean = measure.mean_contribution(problem).values[columns]
-    rows = contribution_rows(problem, [measure.agent] * measure.support_size, measure.decisions)
-    diffs = rows[:, columns] - mean
+    rows, mean = measure._rows(problem)
+    diffs = rows[:, columns] - mean.values[columns]
     total = 0.0
     for (weight, _), diff in zip(measure.atoms, diffs):
         total += weight * float(diff @ diff)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .measures import MeasureProfile, _combine
+from .measures import MeasureProfile
 from .problems import Aggregate, Decision, ProblemInstance
 
 
@@ -364,4 +364,4 @@ def bernoulli_profile(instance: MiqpInstance, box_point: np.ndarray):
         raise ValueError("box point must lie in [0, 1]^N")
     weights = np.column_stack([1.0 - box_point, box_point])  # an atom of weight 0 is pruned
     tokens = np.tile(np.array([0, 1], dtype=object), (len(box_point), 1))
-    return MeasureProfile._of(*_combine(None, (weights, tokens), range(len(box_point))))
+    return MeasureProfile.from_atoms(weights, tokens)

@@ -220,16 +220,13 @@ class ProblemInstance(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no reference relaxed solver")
 
 
-def check_decisions(problem: ProblemInstance, pairs) -> None:
-    """Reject the first invalid token among the (agent, token) ``pairs``."""
-    for i, decision in pairs:
+def contribution_rows(problem: ProblemInstance, agents, decisions) -> np.ndarray:
+    """``problem.contributions`` once each token validates in order, checked finite once."""
+    agents = np.asarray(agents, dtype=np.intp)
+    for i, decision in zip(agents.tolist(), decisions):
         if not problem.validate_decision(i, decision):
             raise ValueError(f"invalid decision token {decision!r} for agent {i}")
-
-
-def contribution_rows(problem: ProblemInstance, agents, decisions) -> np.ndarray:
-    """``problem.contributions``, checked finite once for the whole batch."""
-    rows = problem.contributions(np.asarray(agents, dtype=np.intp), decisions)
+    rows = problem.contributions(agents, decisions)
     if not np.isfinite(rows).all():
         raise non_finite_error(rows, problem.block_dims)
     return rows
@@ -254,7 +251,6 @@ def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarr
         raise ValueError(
             f"profile has {len(profile)} decisions, problem has {problem.n_agents} agents"
         )
-    check_decisions(problem, enumerate(profile.decisions))
     return contribution_rows(problem, np.arange(problem.n_agents), profile.decisions)
 
 
@@ -271,7 +267,6 @@ class _HeldRows:
         """Hold ``tokens[r]`` (an object array) for agent ``agents[r]``."""
         changed = ~(self.tokens[agents] == tokens)
         agents, tokens = agents[changed], tokens[changed]
-        check_decisions(self.problem, zip(agents.tolist(), tokens))
         self.rows[agents] = contribution_rows(self.problem, agents, tokens)
         self.tokens[agents] = tokens
 

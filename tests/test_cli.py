@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +371,33 @@ class TestConfigFile:
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         assert main(["run-sfw", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+def run_module(*args):
+    """``python -m aggfw`` in a subprocess, importing the same aggfw as this test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aggfw.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "aggfw", *args], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestModuleEntry:
+    def test_help_exits_ok(self):
+        result = run_module("--help")
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.startswith("usage:")
+
+    def test_config_error_exits_with_its_code(self, tmp_path):
+        path = tmp_path / "instance.json"
+        result = run_module("generate", "--m", "0", "--n", "3", "--seed", "0", "--out", str(path))
+        assert result.returncode == EXIT_CONFIG == 2
+        assert result.stderr.startswith("config error")
+        assert not path.exists()
+
+    def test_generate_writes_the_instance(self, tmp_path):
+        path = tmp_path / "instance.json"
+        result = run_module("generate", "--m", "3", "--n", "5", "--seed", "2", "--out", str(path))
+        assert result.returncode == EXIT_OK, result.stderr
+        np.testing.assert_array_equal(
+            aggfw.load_instance(str(path)).matrix, aggfw.generate(3, 5, seed=2).matrix
+        )

@@ -229,6 +229,15 @@ class TestMeasuresOnTheHook:
                 )
 
     @PROPERTY
+    @given(measure_profiles())
+    def test_measure_mean_equals_the_profile_row(self, case):
+        problem, profile = case
+        means = profile._means(problem)
+        for i in range(profile.n_agents):
+            got = profile[i].mean_contribution(problem).values
+            assert np.array_equal(got.view(np.int64), means[i].view(np.int64))
+
+    @PROPERTY
     @given(measure_profiles(), st.data())
     def test_sample_equals_searchsorted(self, case, data):
         problem, profile = case

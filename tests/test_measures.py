@@ -3,7 +3,7 @@ import pytest
 
 import aggfw
 from aggfw import rng as _rng
-from aggfw.bounds import compute_constants, gap_bound_basic, mcdiarmid_tail
+from aggfw.bounds import compute_constants, gap_bound_basic, mcdiarmid_tail, variance_proxy
 from aggfw.measures import (
     PRUNE_WEIGHT,
     DiscreteMeasure,
@@ -32,6 +32,16 @@ class TestDiscreteMeasure:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="negative"):
             DiscreteMeasure(0, [(-0.1, 0), (1.1, 1)])
+
+    def test_from_atoms_names_the_agents_in_errors(self):
+        weights = np.array([[1.0, 0.0], [1.5, -0.5]])
+        tokens = np.array([[0, 1], [0, 1]], dtype=object)
+        with pytest.raises(ValueError, match="negative atom weight -0.5 for agent 1"):
+            MeasureProfile.from_atoms(weights, tokens)
+        with pytest.raises(ValueError, match="negative atom weight -0.5 for agent 3"):
+            MeasureProfile.from_atoms(weights, tokens, (7, 3))
+        with pytest.raises(ValueError, match="atom weights for agent 3 sum to 0.75"):
+            MeasureProfile.from_atoms(np.array([[1.0, 0.0], [0.5, 0.25]]), tokens, (7, 3))
 
     def test_duplicates_merge_by_weight(self):
         m = DiscreteMeasure(0, [(0.25, "a"), (0.5, "b"), (0.25, "a")])
@@ -164,6 +174,47 @@ class TestContributionVariance:
             assert contribution_variance(table_instance, m, block) == pytest.approx(
                 expected, abs=1e-12
             )
+
+
+STATISTICS = {
+    "mean_contribution": lambda problem, measure: measure.mean_contribution(problem),
+    "contribution_variance": lambda problem, measure: contribution_variance(problem, measure, 0),
+    "total_contribution_variance": total_contribution_variance,
+    "variance_proxy": variance_proxy,
+}
+
+
+class TestPerMeasureChecks:
+    """The per-measure statistics check the measure's agent against the problem and every
+    token, the tokens with the message the profile path raises."""
+
+    @pytest.mark.parametrize("statistic", STATISTICS.values(), ids=STATISTICS)
+    @pytest.mark.parametrize(
+        "problem, token",
+        [(aggfw.generate(3, 4, seed=1), 2), (aggfw.BalancedSignsInstance(4), 5)],
+        ids=["miqp", "balanced-signs"],
+    )
+    def test_invalid_token_raises_the_profile_message(self, statistic, problem, token):
+        valid = problem.decision_universe(0)[0]
+        measure = DiscreteMeasure(0, [(0.5, valid), (0.5, token)])
+        others = [DiscreteMeasure.dirac(i, valid) for i in range(1, problem.n_agents)]
+        message = f"invalid decision token {token} for agent 0"
+        with pytest.raises(ValueError, match=message) as by_profile:
+            relaxed_objective(problem, MeasureProfile([measure, *others]))
+        with pytest.raises(ValueError) as by_measure:
+            statistic(problem, measure)
+        assert str(by_measure.value) == str(by_profile.value)
+
+    @pytest.mark.parametrize("statistic", STATISTICS.values(), ids=STATISTICS)
+    @pytest.mark.parametrize(
+        "problem", [aggfw.generate(3, 4, seed=1), aggfw.BalancedSignsInstance(4)],
+        ids=["miqp", "balanced-signs"],
+    )
+    @pytest.mark.parametrize("agent", [9, 4, -1])
+    def test_agent_outside_the_problem_raises(self, statistic, problem, agent):
+        measure = DiscreteMeasure(agent, [(0.5, d) for d in problem.decision_universe(0)])
+        with pytest.raises(ValueError, match=f"agent {agent} out of range for 4 agents"):
+            statistic(problem, measure)
 
 
 class TestSampling:

@@ -79,9 +79,9 @@ def reference_sample(atoms, uniforms):
 
 
 @st.composite
-def raw_measures(draw, tokens=TOKENS):
+def raw_measures(draw, tokens=TOKENS, min_size=1, max_size=5):
     """Unnormalized atom lists, duplicate tokens allowed; the first weight is large."""
-    atoms = draw(st.lists(st.tuples(RAW_WEIGHTS, tokens), min_size=1, max_size=5))
+    atoms = draw(st.lists(st.tuples(RAW_WEIGHTS, tokens), min_size=min_size, max_size=max_size))
     atoms[0] = (draw(st.floats(0.05, 1.0)), atoms[0][1])
     total = sum(w for w, _ in atoms)
     return [(w / total, d) for w, d in atoms]
@@ -119,6 +119,28 @@ class TestMergeEqualsDictMerge:
         measure, expected = DiscreteMeasure(3, atoms), reference_atoms(atoms)
         assert measure.atoms == expected
         assert all(got is want for (_, got), (_, want) in zip(measure.atoms, expected))
+
+    @PROPERTY
+    @given(st.integers(1, 5).flatmap(
+        lambda s: st.lists(raw_measures(min_size=s, max_size=s), min_size=1, max_size=6)
+    ))
+    def test_from_atoms_equals_the_discrete_measures(self, rows):
+        weights = np.array([[w for w, _ in atoms] for atoms in rows])
+        tokens = np.empty(weights.shape, dtype=object)
+        for i, atoms in enumerate(rows):
+            tokens[i] = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))
+        profile = MeasureProfile.from_atoms(weights, tokens)
+        assert_matches(profile, [reference_atoms(atoms) for atoms in rows])
+        assert profile == MeasureProfile(
+            DiscreteMeasure(i, zip(weights[i], tokens[i])) for i in range(len(rows))
+        )
+
+    @PROPERTY
+    @given(st.integers(0, 5), TOKENS)
+    def test_dirac_is_the_one_atom_measure(self, agent, token):
+        measure = DiscreteMeasure.dirac(agent, token)
+        assert measure == DiscreteMeasure(agent, [(1.0, token)])
+        assert repr(measure.atoms) == repr(((1.0, token),)) and measure.atoms[0][1] is token
 
     @PROPERTY
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(profiles(n), profiles(n))), OMEGAS)
