@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, total_contribution_variance
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _count
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,7 @@ class ProblemConstants:
 
     def d_of_k(self, k: int) -> float:
         """Sum of the k largest per-agent weights D_i (top-k sum)."""
-        if not 1 <= k <= self.n_agents:
+        if _count(k, "k") > self.n_agents:
             raise ValueError(f"k must lie in [1, {self.n_agents}], got {k}")
         return float(np.sort(self.d_i)[::-1][:k].sum())
 
@@ -54,7 +54,7 @@ def compute_constants(problem: ProblemInstance) -> ProblemConstants:
     n, m = problem.n_agents, problem.n_blocks
     if lip_f.shape != (m,) or lip_grad.shape != (m,) or diam.shape != (n, m):
         raise ValueError("constant arrays do not match the problem dimensions")
-    if (lip_f < 0).any() or (lip_grad < 0).any() or (diam < 0).any():
+    if not ((lip_f >= 0).all() and (lip_grad >= 0).all() and (diam >= 0).all()):
         raise ValueError("Lipschitz moduli and diameters must be nonnegative")
     d_i = (diam**2) @ lip_grad
     return ProblemConstants(
@@ -81,7 +81,7 @@ def gap_bound_refined(constants: ProblemConstants) -> float:
 
 def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
     """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if c0 == 0:
         return 1.0 if epsilon == 0 else 0.0
@@ -90,7 +90,7 @@ def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
 
 def mcdiarmid_variance_tail(n_agents: int, epsilon: float, sum_vi2: float, c0: float) -> float:
     """Variance-flavored tail bound exp(-N eps^2 / (2 (N sum_i v_i^2 + C0 eps / 3)))."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon == 0:
         return 1.0
@@ -112,9 +112,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
     ``schedule`` must expose ``size(k, n_agents) -> int``, the number of
     candidate draws at iteration k.
     """
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
-    big_k = n_iters
+    big_k = _count(n_iters, "n_iters")
     v_sum = 0.0
     m_max = 0.0
     for k in range(1, big_k):
@@ -128,7 +126,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
 
 def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -> float:
     """Probability bound on gamma_K exceeding 4 C1 / K by epsilon."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon == 0:
         return 1.0
@@ -141,7 +139,7 @@ def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -
 
 def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1: float) -> int:
     """Number of selection draws so the best sample is (3 C1 / k)-optimal w.p. 1 - zeta."""
-    if not 1 <= k <= n_agents:
+    if _count(k, "k") > n_agents:
         raise ValueError(f"the guarantee requires 1 <= k <= N, got k={k}, N={n_agents}")
     if not 0 < zeta < 1:
         raise ValueError(f"confidence level zeta must lie in (0, 1), got {zeta}")

@@ -21,6 +21,7 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
+    _count,
     _HeldRows,
     aggregate_of,
     sequential_sum,
@@ -127,8 +128,7 @@ def fw_run(
     final iterate, whose ``omega`` is NaN; the mean aggregate is maintained
     incrementally, which is exact up to the pruning threshold.
     """
-    if n_iters < 1:
-        raise ValueError(f"need at least one iteration, got {n_iters}")
+    n_iters = _count(n_iters, "n_iters")
     rule = rule if rule is not None else CanonicalStep()
     initial = initial if initial is not None else zero_gradient_profile(problem)
     profile, y = MeasureProfile.dirac(initial), aggregate_of(problem, initial)

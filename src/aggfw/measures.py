@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance
+from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, _count
 from .problems import contribution_rows, rows_objective, sequential_sum
 
 # Atoms below this weight are dropped and the rest renormalized.  With
@@ -283,8 +283,7 @@ def select_best(
     function of the stream state.  The draws are ``sample_profile``'s; each
     atom is checked and its contribution row built once, up front.
     """
-    if n_draws < 1:
-        raise ValueError(f"selection needs at least one draw, got {n_draws}")
+    n_draws = _count(n_draws, "n_draws")
     (atom_rows, index), agents = profile._atom_rows(problem), np.arange(profile.n_agents)
     best_columns, best_value = None, np.inf
     for _ in range(n_draws):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .measures import MeasureProfile
-from .problems import Aggregate, Decision, ProblemInstance
+from .problems import Aggregate, Decision, ProblemInstance, _count
 
 
 class ReferenceSolverError(RuntimeError):
@@ -169,8 +169,7 @@ def generate(m: int, n: int, seed: int) -> MiqpInstance:
     The matrix is drawn first (row-major), then the target, from the
     instance-generation stream of ``seed``.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"instance dimensions must be positive, got M={m}, N={n}")
+    m, n, seed = _count(m, "m"), _count(n, "n"), _count(seed, "seed", 0)
     gen = _rng.stream(seed, _rng.INSTANCE)
     matrix = gen.random((m, n))
     target = gen.random(m) * (n / 2.0)
@@ -212,7 +211,7 @@ def reference_relaxed_optimum(
     refines the value.  The result certifies the relaxed optimum
     independently of the solvers under test.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a, n = instance.matrix, instance.n_agents
     lip = 2.0 * np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max() / n**2
@@ -294,9 +293,7 @@ class BalancedSignsInstance(ProblemInstance):
     """
 
     def __init__(self, n_agents: int):
-        if n_agents < 1:
-            raise ValueError(f"need at least one agent, got {n_agents}")
-        self._n = int(n_agents)
+        self._n = _count(n_agents, "n_agents")
         self._dims = (1, 1)
 
     @property

@@ -18,6 +18,13 @@ import numpy as np
 Decision = Any  # opaque decision token, owned by the concrete instance
 
 
+def _count(value, what: str, minimum: int = 1) -> int:
+    """``value`` as a Python int: a Python or numpy integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
 class Aggregate:
     """Point in the aggregate space ``E = E_1 x ... x E_M``.
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .problems import _count
+
 # Counter-word tags, one per solver phase.
 BERNOULLI = 1
 SELECTION = 2
@@ -35,11 +37,9 @@ _WORD = 2**64
 
 def stream(seed: int, tag: int = 0, block: int = 0, step: int = 0) -> np.random.Generator:
     """Generator over the Philox stream addressed by (seed, tag, block, step)."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    words = (int(tag), int(block), int(step))
-    if any(w < 0 or w >= _WORD for w in words):
+    seed = _count(seed, "seed", 0)
+    words = (_count(tag, "tag", 0), _count(block, "block", 0), _count(step, "step", 0))
+    if any(w >= _WORD for w in words):
         raise ValueError(f"stream address words out of range: {words}")
     bitgen = np.random.Philox(key=seed, counter=[0, *words])
     return np.random.Generator(bitgen)

@@ -27,6 +27,7 @@ from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
+    _count,
     _HeldRows,
     profile_rows,
     rows_objective,
@@ -41,8 +42,7 @@ class ConstantSchedule:
     n: int
 
     def __post_init__(self):
-        if not _is_count(self.n):
-            raise ValueError(f"draw count must be an integer of at least 1, got {self.n!r}")
+        object.__setattr__(self, "n", _count(self.n, "draw count"))
 
     def size(self, k: int, n_agents: int) -> int:
         return self.n
@@ -83,10 +83,6 @@ class SfwRecord:
     active_count: int
     accepted: bool
     wall_ms: float
-
-
-def _is_count(n) -> bool:
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
 # Elements per row block of uniforms or of f_value_batch input (256 KiB of float64).
@@ -196,8 +192,7 @@ def sfw_step(
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
-    if not _is_count(n_draws):
-        raise ValueError(f"need an integer of at least one candidate draw, got {n_draws!r}")
+    n_draws = _count(n_draws, "n_draws")
     n = problem.n_agents
     rows, held, work = rows or (profile_rows(problem, profile), _HeldRows(problem), None)
     switches = bernoulli_matrix(rng, n_draws, n, omega)
@@ -244,8 +239,7 @@ def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callbac
     ``stream`` is the iteration's Bernoulli stream.  The record's
     ``wall_ms`` is set here to the whole iteration's time.
     """
-    if n_iters < 1:
-        raise ValueError(f"need at least one iteration, got {n_iters}")
+    n_iters = _count(n_iters, "n_iters")
     if n_iters > 2 * problem.n_agents:
         warnings.warn(
             f"{n_iters} iterations exceed twice the agent count "
@@ -295,10 +289,9 @@ def sfw_run(
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
     agents, full_solve = range(problem.n_agents), closed_loop or not use_active_set
-    sizes = [schedule.size(k, problem.n_agents) for k in range(n_iters)]
-    for k, size in enumerate(sizes):
-        if not _is_count(size):
-            raise ValueError(f"schedule gave {size!r} draws at iteration {k}; need an integer >= 1")
+    n_iters = _count(n_iters, "n_iters")
+    sizes = [_count(schedule.size(k, problem.n_agents), f"schedule size at iteration {k}")
+             for k in range(n_iters)]
     work = _workspace(max(sizes, default=1), problem.n_agents, problem.total_dim)
 
     def step(k, profile, rows, stream):
@@ -359,8 +352,7 @@ def stopping_time_step(
     constants = constants if constants is not None else compute_constants(problem)
     if max_draws is None:
         max_draws = default_draw_cap(problem.n_agents, k)
-    if not _is_count(max_draws):
-        raise ValueError(f"draw budget must be an integer of at least 1, got {max_draws!r}")
+    max_draws = _count(max_draws, "max_draws")
     n, dims = problem.n_agents, problem.block_dims
     rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
     lin = _linearize(problem, profile, rows, held, range(n))

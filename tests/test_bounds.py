@@ -53,11 +53,12 @@ class TestComputeConstants:
         c = compute_constants(aggfw.generate(4, 7, seed=seed))
         assert c.d_of_k(7) == pytest.approx(7 * c.c1, abs=1e-9)
 
-    def test_rejects_negative_inputs(self, miqp_small, monkeypatch):
-        monkeypatch.setattr(
-            type(miqp_small), "lipschitz_f",
-            property(lambda self: -np.ones(self.n_blocks)),
-        )
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("name", ["lipschitz_f", "lipschitz_grad", "diameters"])
+    def test_rejects_negative_and_nan_inputs(self, miqp_small, monkeypatch, name, bad):
+        values = np.array(getattr(miqp_small, name), dtype=float)
+        values.flat[-1] = bad
+        monkeypatch.setattr(type(miqp_small), name, property(lambda self: values))
         with pytest.raises(ValueError, match="nonnegative"):
             compute_constants(miqp_small)
 
@@ -101,6 +102,16 @@ class TestMcDiarmidTails:
     def test_zero_epsilon_gives_one(self):
         assert mcdiarmid_tail(10, 0.0, 2.0) == 1.0
         assert mcdiarmid_variance_tail(10, 0.0, 1.0, 2.0) == 1.0
+
+    @pytest.mark.parametrize("epsilon", [-0.5, math.nan])
+    def test_rejects_negative_and_nan_epsilon(self, epsilon):
+        for tail in (
+            lambda: mcdiarmid_tail(10, epsilon, 1.0),
+            lambda: mcdiarmid_variance_tail(10, epsilon, 0.1, 1.0),
+            lambda: sfw_tail(10, epsilon, 10, 1.0, ConstantSchedule(2)),
+        ):
+            with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+                tail()
 
     def test_large_epsilon_vanishes(self):
         assert mcdiarmid_tail(10, 1e6, 2.0) < 1e-300

@@ -109,6 +109,12 @@ class TestReferenceSolver:
         expected = miqp_small.matrix @ miqp_small_reference.point / 10
         np.testing.assert_allclose(miqp_small_reference.y.values, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, miqp_small, tol):
+        # max_iters keeps a run that skips the check short
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            reference_relaxed_optimum(miqp_small, tol=tol, max_iters=10)
+
     def test_iteration_cap_reports_residual(self, miqp_small):
         with pytest.raises(ReferenceSolverError) as info:
             reference_relaxed_optimum(miqp_small, tol=1e-14, max_iters=2)
