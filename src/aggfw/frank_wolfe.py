@@ -189,6 +189,7 @@ def fw_with_selection(
     not exceed N; beyond that the guarantee degrades and None is
     returned).
     """
+    n_select, seed = _count(n_select, "n_select"), _count(seed, "seed", 0)
     profile, records = fw_run(problem, n_iters, rule=rule, initial=initial)
     constants = compute_constants(problem)
     recommended = None

@@ -103,12 +103,12 @@ class MiqpInstance(ProblemInstance):
         return Aggregate(2.0 * (y.values - self._target_scaled), self._dims)
 
     def best_response(self, i: int, grad: Aggregate) -> int:
-        # <grad, g_i(1)> = grad . A[:, i]; the tie at zero goes to 0.
-        return 1 if float(grad.values @ self.matrix[:, i]) < 0.0 else 0
+        return self.best_response_all(grad, [i])[0]
 
-    def best_response_all(self, grad: Aggregate) -> list[int]:
-        scores = grad.values @ self.matrix
-        return [1 if s < 0.0 else 0 for s in scores]
+    def best_response_all(self, grad: Aggregate, agents=None) -> list[int]:
+        # All N scores <grad, g_i(1)> in one product: an agent's bits never depend on who is asked.
+        wins = (grad.values @ self.matrix < 0.0).astype(int)
+        return (wins if agents is None else wins[agents]).tolist()
 
     # --- regularity constants ----------------------------------------
 
@@ -158,7 +158,7 @@ class MiqpInstance(ProblemInstance):
 
     @classmethod
     def from_dict(cls, data: dict) -> "MiqpInstance":
-        m, n = int(data["M"]), int(data["N"])
+        m, n = _count(data["M"], "M"), _count(data["N"], "N")
         matrix = np.asarray(data["A"], dtype=float).reshape(m, n)
         return cls(matrix, np.asarray(data["ybar"], dtype=float), seed=data.get("seed"))
 

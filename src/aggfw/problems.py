@@ -9,6 +9,7 @@ against this interface.
 """
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -23,6 +24,15 @@ def _count(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
         return int(value)
     raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
+@functools.lru_cache(typed=True)  # 128 layouts; typed, so True and 1.0 miss the entry of 1
+def _layout(size: int, *dims) -> tuple[int, ...]:
+    """``dims`` as Python ints, once ``_count`` takes each and they tile ``size``."""
+    dims = tuple(_count(d, "block dimension") for d in dims)
+    if sum(dims) != size:
+        raise ValueError(f"block dimensions {dims} do not tile a vector of size {size}")
+    return dims
 
 
 class Aggregate:
@@ -40,13 +50,8 @@ class Aggregate:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("aggregate values must form a 1-D vector")
-        if block_dims is None:
-            block_dims = (1,) * values.size
-        block_dims = tuple(int(d) for d in block_dims)
-        if any(d <= 0 for d in block_dims) or sum(block_dims) != values.size:
-            raise ValueError(
-                f"block dimensions {block_dims} do not tile a vector of size {values.size}"
-            )
+        dims = (1,) * values.size if block_dims is None else block_dims
+        block_dims = _layout(values.size, *dims)
         if not np.isfinite(values).all():
             raise non_finite_error(values, block_dims)
         self.values = values
@@ -199,14 +204,12 @@ class ProblemInstance(ABC):
     def validate_decision(self, i: int, decision: Decision) -> bool:
         return True
 
-    def best_response_all(self, grad: Aggregate) -> list:
-        """Best responses of every agent to one shared gradient.
+    def best_response_all(self, grad: Aggregate, agents: Sequence[int] | None = None) -> list:
+        """Best responses to ``grad`` of ``agents`` in order (repeats allowed), or of every agent.
 
-        Agent subproblems are independent; implementations may fan out,
-        but the result must equal the sequential agent-by-agent solve.
-        """
+        Must equal the ``best_response`` loop, with entry r depending only on ``agents[r]``."""
         responses = []
-        for i in range(self.n_agents):
+        for i in range(self.n_agents) if agents is None else np.asarray(agents).tolist():
             try:
                 responses.append(self.best_response(i, grad))
             except Exception as exc:
@@ -321,4 +324,4 @@ def zero_gradient_profile(problem: ProblemInstance) -> DecisionProfile:
     the instance picks the canonical decision.
     """
     grad = Aggregate(np.zeros(problem.total_dim), problem.block_dims)
-    return DecisionProfile(tuple(problem.best_response(i, grad) for i in range(problem.n_agents)))
+    return DecisionProfile(problem.best_response_all(grad))

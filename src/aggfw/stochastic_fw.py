@@ -149,7 +149,7 @@ def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linear
     y = Aggregate(rows.sum(axis=0) / n, dims)
     grad = problem.f_grad(y)
     solved = np.fromiter(agents, dtype=np.intp)
-    best = np.fromiter((problem.best_response(i, grad) for i in solved.tolist()), dtype=object)
+    best = np.fromiter(problem.best_response_all(grad, solved), dtype=object)
     tokens = np.fromiter(profile.decisions, dtype=object)
     moved = solved[~(tokens[solved] == best)]
     tokens[solved] = best

@@ -136,9 +136,9 @@ class CountingInstance:
         self.calls += 1
         return self.inner.best_response(i, grad)
 
-    def best_response_all(self, grad):
-        self.calls += self.inner.n_agents
-        return self.inner.best_response_all(grad)
+    def best_response_all(self, grad, agents=None):
+        self.calls += self.inner.n_agents if agents is None else len(agents)
+        return self.inner.best_response_all(grad, agents)
 
     def f_grad(self, y):
         self.grads += 1

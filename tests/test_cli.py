@@ -110,6 +110,14 @@ class TestRunFw:
         assert main(["run-fw", "--instance", str(instance_path), "--iters", "5",
                      "--seeds", "0,1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_fractional_instance_dimensions_are_config_errors(self, tmp_path, capsys):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"M": 2.9, "N": 3.5, "seed": 0, "A": [0.5] * 6,
+                                    "ybar": [1.0, 1.0]}))
+        assert main(["run-fw", "--instance", str(path), "--iters", "5",
+                     "--out", str(tmp_path / "fw.csv")]) == EXIT_CONFIG
+        assert "M must be an integer" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, instance_path, monkeypatch):
         monkeypatch.setattr(
             aggfw.MiqpInstance, "relaxed_optimum",

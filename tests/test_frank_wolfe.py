@@ -119,8 +119,8 @@ class TestDualGapAtScale:
     @pytest.mark.parametrize("scale", [1.0, 1e5])
     def test_wrong_oracle_still_raises(self, scale):
         class FlippedOracle(aggfw.MiqpInstance):
-            def best_response_all(self, grad):
-                return [1 - d for d in super().best_response_all(grad)]
+            def best_response_all(self, grad, agents=None):
+                return [1 - d for d in super().best_response_all(grad, agents)]
 
         base = aggfw.generate(10, 50, seed=0)
         flipped = FlippedOracle(scale * base.matrix, scale * base.target)
@@ -281,6 +281,16 @@ class TestFwWithSelection:
             10, 10, 0.1, constants.c0, constants.c1
         )
         assert result.recommended_draws == expected
+
+    @pytest.mark.parametrize("n_select, seed, name", [(2.5, 0, "n_select"), (0, 0, "n_select"),
+                                                      (True, 0, "n_select"), (5, -1, "seed"),
+                                                      (5, 1.5, "seed")])
+    def test_bad_selection_arguments_fail_before_any_iteration(self, miqp_small, n_select, seed,
+                                                                name):
+        counting = CountingInstance(miqp_small)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            fw_with_selection(counting, 200, n_select, seed)
+        assert counting.grads == 0 and counting.calls == 0
 
     def test_long_runs_warn_and_skip_recommendation(self, miqp_small):
         with pytest.warns(UserWarning, match="up to N"):

@@ -59,7 +59,7 @@ SITES = {
             p, MeasureProfile.dirac(zero_gradient_profile(p)), v, _rng.stream(0)
         ),
     ),
-    "fw_with_selection.n_select": ("n_draws", 1, lambda p, v: fw_with_selection(p, 2, v, 0)),
+    "fw_with_selection.n_select": ("n_select", 1, lambda p, v: fw_with_selection(p, 2, v, 0)),
     "d_of_k.k": ("k", 1, lambda p, v: compute_constants(p).d_of_k(v)),
     "sample_size_for_confidence.k": (
         "k", 1, lambda p, v: sample_size_for_confidence(v, 10, 0.1, 1.0, 1.0),

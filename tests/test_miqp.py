@@ -137,6 +137,15 @@ class TestSerialization:
         assert set(payload) == {"M", "N", "seed", "A", "ybar"}
 
 
+    @pytest.mark.parametrize("m, n, name", [(2.9, 3.5, "M"), (2, 3.5, "N"), (2.0, 3, "M"),
+                                            (True, 6, "M"), ("2", 3, "M"), (6, 0, "N")])
+    def test_dimensions_must_be_counts(self, tmp_path, m, n, name):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"M": m, "N": n, "seed": 0, "A": [0.5] * 6, "ybar": [1.0] * 2}))
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            aggfw.load_instance(str(path))
+
+
 class TestLinearStructure:
     def test_relaxed_objective_equals_box_objective(self, miqp_small):
         gen = np.random.default_rng(5)

@@ -19,6 +19,8 @@ from aggfw.problems import (
     zero_gradient_profile,
 )
 
+from conftest import INSTANCES
+
 
 class TestAggregate:
     def test_rejects_non_finite_and_names_block(self):
@@ -28,6 +30,24 @@ class TestAggregate:
     def test_rejects_mismatched_block_dims(self):
         with pytest.raises(ValueError):
             Aggregate(np.array([1.0, 2.0, 3.0]), block_dims=(2, 2))
+
+    @pytest.mark.parametrize("dims", [(2.7, 1.2), (2.0, 1), (True, 2), (np.True_, 2), (0, 3),
+                                      (-1, 4), (3, 0), ("2", 1)])
+    def test_rejects_block_dims_that_are_not_counts(self, dims):
+        with pytest.raises(ValueError, match="block dimension must be an integer of at least 1"):
+            Aggregate(np.zeros(3), dims)
+
+    def test_a_checked_layout_does_not_admit_equal_non_integers(self):
+        Aggregate(np.zeros(3), (1, 2))  # (1, 2) is now a known layout
+        for dims in [(True, 2), (1.0, 2), (np.True_, 2)]:
+            with pytest.raises(ValueError, match="block dimension"):
+                Aggregate(np.zeros(3), dims)
+
+    @pytest.mark.parametrize("dims", [(np.int64(2), np.int32(1)), [2, 1], np.array([2, 1])])
+    def test_accepts_numpy_integer_and_list_block_dims(self, dims):
+        y = Aggregate(np.zeros(3), dims)
+        assert y.block_dims == (2, 1)
+        assert all(type(d) is int for d in y.block_dims)
 
     def test_block_views_and_sqnorms(self):
         y = Aggregate(np.array([1.0, 2.0, 3.0, -1.0]), block_dims=(2, 1, 1))
@@ -166,6 +186,54 @@ class TestBoundedDifferences:
         for i in range(6):
             flipped = objective(inst, x.replace(i, -x[i]))
             assert abs(flipped - base) <= constants.c0 / 6 + 1e-12
+
+
+def near_tie_gradient(problem, agent, data):
+    """A gradient whose MIQP score for ``agent`` is a rounding error away from 0, so that
+    a score summed in any other order (another product shape) can flip its sign."""
+    values = data.draw(hnp.arrays(float, problem.total_dim, elements=st.floats(-10, 10)))
+    column = problem.matrix[:, agent]
+    return values - (values @ column) / (column @ column) * column
+
+
+class TestBestResponseAll:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 999),
+           st.sampled_from(["random", "zero", "near-tie"]), st.booleans(), st.data())
+    def test_agents_in_order_equal_the_per_agent_solve(self, name, seed, kind, as_array, data):
+        problem = INSTANCES[name](seed)
+        miqp = isinstance(problem, aggfw.MiqpInstance)
+        n, q = problem.n_agents, problem.total_dim
+        agents = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))  # unsorted, repeats
+        if kind == "zero":
+            values = np.zeros(q)
+        elif kind == "near-tie" and miqp:
+            tied = data.draw(st.integers(0, n - 1))
+            agents.insert(data.draw(st.integers(0, len(agents))), tied)
+            values = near_tie_gradient(problem, tied, data)
+        else:
+            values = data.draw(hnp.arrays(float, q, elements=st.floats(-10, 10)))
+        grad = Aggregate(values, problem.block_dims)
+        asked = np.array(agents, dtype=np.intp) if as_array else agents
+        got = problem.best_response_all(grad, asked)
+        if miqp:  # one product over all N columns, then the asked entries
+            full = problem.best_response_all(grad)
+            expected = [full[i] for i in agents]
+            assert [problem.best_response(i, grad) for i in agents] == expected
+        else:
+            expected = [problem.best_response(i, grad) for i in agents]
+        assert got == expected
+        assert [type(d) for d in got] == [type(d) for d in expected]
+        if kind == "zero" and miqp:
+            assert got == [0] * len(agents)
+
+    def test_none_asks_every_agent_and_empty_asks_none(self, miqp_small, table_instance):
+        for problem in (miqp_small, table_instance, aggfw.BalancedSignsInstance(4)):
+            grad = Aggregate(np.linspace(-1, 1, problem.total_dim), problem.block_dims)
+            assert problem.best_response_all(grad, []) == []
+            assert problem.best_response_all(grad) == problem.best_response_all(
+                grad, range(problem.n_agents)
+            )
 
 
 class TestZeroGradientProfile:
