@@ -30,9 +30,6 @@ class ProblemConstants:
     c0: float
     c1: float
     d_i: np.ndarray
-    lipschitz_f: np.ndarray
-    lipschitz_grad: np.ndarray
-    diameters: np.ndarray
     total_dim: int
 
     @property
@@ -61,9 +58,6 @@ def compute_constants(problem: ProblemInstance) -> ProblemConstants:
         c0=float(lip_f @ diam.max(axis=0)),
         c1=float(d_i.sum() / n),
         d_i=d_i,
-        lipschitz_f=lip_f,
-        lipschitz_grad=lip_grad,
-        diameters=diam,
         total_dim=problem.total_dim,
     )
 

@@ -66,17 +66,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    write_atomic(path, text)
-
-
 def write_csv(path: str, rows: list[dict]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _rows(records) -> list[dict]:
@@ -195,7 +189,7 @@ def render_line_chart(
             f'font-size="12" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 # --- configuration helpers ----------------------------------------------
@@ -455,7 +449,7 @@ def cmd_sweep(merged: dict) -> int:
             f"{_fmt(float(column.min()))},{_fmt(float(column.max()))},{len(seeds)}"
         )
     summary_path = os.path.join(out_dir, "summary.csv")
-    _write_atomic(summary_path, "\n".join(lines) + "\n")
+    write_atomic(summary_path, "\n".join(lines) + "\n")
     print(f"swept {len(seeds)} seeds; wrote {summary_path}")
     if spec.svg:
         ks = list(range(gaps.shape[1]))
@@ -544,7 +538,7 @@ def cmd_bounds(merged: dict) -> int:
         print(f"sfw schedule success probability 1-exp(-A/12) = "
               f"{report['sfw']['success_probability']:.6g}")
     if merged.get("out"):
-        _write_atomic(merged["out"], json.dumps(report, indent=2) + "\n")
+        write_atomic(merged["out"], json.dumps(report, indent=2) + "\n")
         print(f"wrote {merged['out']}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from .problems import (
     _count,
     _HeldRows,
     aggregate_of,
-    sequential_sum,
+    rows_aggregate,
     zero_gradient_profile,
 )
 
@@ -139,7 +139,7 @@ def fw_run(
         grad = problem.f_grad(y)
         xbar = DecisionProfile(problem.best_response_all(grad))
         held.hold(agents, np.fromiter(xbar.decisions, dtype=object))
-        ybar = Aggregate(sequential_sum(held.rows) / problem.n_agents, problem.block_dims)
+        ybar = rows_aggregate(problem, held.rows)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)
         value = problem.f_value(y)
         if not np.isfinite(value):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, _count
-from .problems import contribution_rows, rows_objective, sequential_sum
+from .problems import contribution_rows, rows_aggregate, rows_objective, sequential_sum
 
 # Atoms below this weight are dropped and the rest renormalized.  With
 # the canonical step sizes an atom added at iteration s still has weight
@@ -189,7 +189,7 @@ class MeasureProfile:
 
     def mean_aggregate(self, problem: ProblemInstance) -> Aggregate:
         """(1/N) sum_i E_mu_i[g_i]."""
-        return Aggregate(sequential_sum(self._means(problem)) / self.n_agents, problem.block_dims)
+        return rows_aggregate(problem, self._means(problem))
 
     def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's ``np.cumsum`` of weights but its last atom, +inf past its

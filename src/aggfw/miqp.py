@@ -182,7 +182,9 @@ def save_instance(instance: MiqpInstance, path: str) -> None:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``<path>.tmp`` and rename it over ``path``; a failure removes the tmp."""
+    """Write ``text`` to ``<path>.tmp`` and rename it over ``path``, creating the parent
+    directory first; a failure removes the tmp."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -213,8 +215,8 @@ def reference_relaxed_optimum(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a, n = instance.matrix, instance.n_agents
-    lip = 2.0 * np.abs(a).sum(axis=0).max() * np.abs(a).sum(axis=1).max() / n**2
+    abs_a, n = np.abs(instance.matrix), instance.n_agents
+    lip = 2.0 * abs_a.sum(axis=0).max() * abs_a.sum(axis=1).max() / n**2
     step = 1.0 / lip if lip > 0 else 1.0
 
     def project(z):

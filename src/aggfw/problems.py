@@ -281,10 +281,15 @@ class _HeldRows:
         self.tokens[agents] = tokens
 
 
+def rows_aggregate(problem: ProblemInstance, rows: np.ndarray) -> Aggregate:
+    """(1/N) times the row-order sum of the contribution rows ``rows``.  Every aggregate
+    the package builds from rows comes from here, so all of them share one summation order."""
+    return Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
+
+
 def aggregate_of(problem: ProblemInstance, profile: DecisionProfile) -> Aggregate:
     """G(x) = (1/N) sum_i g_i(x_i)."""
-    rows = profile_rows(problem, profile)
-    return Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
+    return rows_aggregate(problem, profile_rows(problem, profile))
 
 
 def objective(problem: ProblemInstance, profile: DecisionProfile) -> float:
@@ -294,8 +299,7 @@ def objective(problem: ProblemInstance, profile: DecisionProfile) -> float:
 
 def rows_objective(problem: ProblemInstance, rows: np.ndarray) -> float:
     """J of the profile whose (N, q) contribution rows are ``rows``."""
-    y = Aggregate(sequential_sum(rows) / problem.n_agents, problem.block_dims)
-    values = problem.f_block_values(y)
+    values = problem.f_block_values(rows_aggregate(problem, rows))
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"non-finite objective value in block {bad}")

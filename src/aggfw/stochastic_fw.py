@@ -30,7 +30,9 @@ from .problems import (
     _count,
     _HeldRows,
     profile_rows,
+    rows_aggregate,
     rows_objective,
+    sequential_sum,
     zero_gradient_profile,
 )
 
@@ -146,7 +148,7 @@ def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linear
     """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents``.  A response
     row is the agent's own row if its token is unchanged, else the row ``held`` holds."""
     n, dims = problem.n_agents, problem.block_dims
-    y = Aggregate(rows.sum(axis=0) / n, dims)
+    y = rows_aggregate(problem, rows)
     grad = problem.f_grad(y)
     solved = np.fromiter(agents, dtype=np.intp)
     best = np.fromiter(problem.best_response_all(grad, solved), dtype=object)
@@ -159,8 +161,8 @@ def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linear
     delta = responses - rows
     if solved.size < n:
         return _Linearization(y, tokens, responses, delta, None, float("nan"), float("nan"))
-    ybar = Aggregate(y.values + delta.sum(axis=0) / n, dims)
-    beta_rows = dual_gap_beta(problem, y, Aggregate(responses.sum(axis=0) / n, dims), grad=grad)
+    ybar = Aggregate(y.values + sequential_sum(delta) / n, dims)
+    beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
     beta = dual_gap_beta(problem, y, ybar, grad=grad)
     return _Linearization(y, tokens, responses, delta, ybar, beta, beta_rows)
 

@@ -28,9 +28,6 @@ def constants_from(d_i, total_dim=1):
         c0=1.0,
         c1=float(d_i.sum() / n),
         d_i=d_i,
-        lipschitz_f=np.array([1.0]),
-        lipschitz_grad=np.array([2.0]),
-        diameters=np.sqrt(d_i / 2.0).reshape(n, 1),
         total_dim=total_dim,
     )
 

@@ -49,6 +49,12 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "C0" in out and "C1" in out and "gap bound" in out
 
+    def test_creates_the_output_directory(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "inst.json"
+        assert main(["generate", "--m", "2", "--n", "5", "--seed", "1",
+                     "--out", str(path)]) == EXIT_OK
+        assert aggfw.load_instance(str(path)).n_agents == 5
+
     def test_missing_output_is_config_error(self, capsys):
         assert main(["generate", "--m", "3", "--n", "8", "--seed", "0"]) == EXIT_CONFIG
 

@@ -11,7 +11,7 @@ import aggfw
 from aggfw import rng as _rng
 from aggfw import stochastic_fw
 from aggfw.bounds import ProblemConstants, compute_constants
-from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep
+from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep, dual_gap_beta
 from aggfw.problems import Aggregate, DecisionProfile, linearized_best_response, objective
 from aggfw.problems import _HeldRows, aggregate_of, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
@@ -288,11 +288,7 @@ class TestStoppingTime:
         # exhaust its budget and return the best draw seen.
         constants = compute_constants(miqp_small)
         squeezed = ProblemConstants(
-            c0=-1e6, c1=0.0, d_i=constants.d_i,
-            lipschitz_f=constants.lipschitz_f,
-            lipschitz_grad=constants.lipschitz_grad,
-            diameters=constants.diameters,
-            total_dim=constants.total_dim,
+            c0=-1e6, c1=0.0, d_i=constants.d_i, total_dim=constants.total_dim,
         )
         start = zero_gradient_profile(miqp_small)
         result = stopping_time_step(
@@ -653,3 +649,32 @@ class TestCandidateWorkspace:
         sfw_run(miqp_medium, 25, schedule, seed=1, rule=LineSearchSfwStep.from_constants(
             compute_constants(miqp_medium)))
         assert len(sizes) == 2
+
+
+class TestOneAggregateSum:
+    """``_linearize`` sums rows in the order ``aggregate_of`` and ``objective`` do, also at
+    q = 1, where numpy's ``sum(axis=0)`` would sum pairwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 300), st.integers(0, 999),
+           st.integers(0, 2**32 - 1))
+    @example(1, 300, 18, 0)
+    def test_full_solve_matches_aggregate_of(self, m, n, seed, profile_seed):
+        problem = aggfw.generate(m, n, seed=seed)
+        tokens = np.random.default_rng(profile_seed).integers(0, 2, n).tolist()
+        profile = DecisionProfile(tokens)
+        lin = _linearize(problem, profile, profile_rows(problem, profile), _HeldRows(problem),
+                         range(n))
+        y = aggregate_of(problem, profile)
+        assert lin.y.values.tobytes() == y.values.tobytes()
+        ybar = aggregate_of(problem, DecisionProfile(lin.tokens))
+        assert repr(lin.beta_rows) == repr(dual_gap_beta(problem, y, ybar))
+
+    def test_rejected_step_keeps_its_objective_at_one_dimension(self):
+        broken = []
+        for seed in range(40):
+            problem = aggfw.generate(1, 60, seed=seed)
+            _, records = sfw_run(problem, 40, ConstantSchedule(3), seed)
+            broken += [(seed, r.k) for r, nxt in zip(records, records[1:])
+                       if not r.accepted and r.objective != nxt.objective]
+        assert broken == []
