@@ -9,6 +9,7 @@ success, 2 on configuration errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -38,6 +39,7 @@ from .miqp import (
     save_instance,
     write_atomic,
 )
+from .problems import _count
 from .stochastic_fw import ConstantSchedule, QuadraticSchedule, sfw_run, stopping_time_run
 
 EXIT_OK = 0
@@ -45,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 CSV_COLUMNS = ("k", "value", "beta", "omega", "n_k", "active_count", "wall_ms")
+SUMMARY_COLUMNS = ("k", "mean", "std", "min", "max", "count")
 
 _PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
 
@@ -57,19 +60,16 @@ class ConfigError(Exception):
 
 
 def _fmt(value) -> str:
-    if value is None:
+    """A CSV field: empty for None and NaN; ``str`` of a float is its shortest repr."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
     return str(value)
 
 
-def write_csv(path: str, rows: list[dict]) -> None:
-    lines = [",".join(CSV_COLUMNS)]
+def write_csv(path: str, rows: list[dict], columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
+        lines.append(",".join(_fmt(row.get(col)) for col in columns))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -99,97 +99,70 @@ def _rows(records) -> list[dict]:
 # --- SVG rendering -----------------------------------------------------
 
 
+def _axis(values: list[float], log_log: bool, start: float, span: float):
+    """One chart axis: the map from data to pixels, with the low end at ``start``
+    and the high end at ``start + span``, and the (value, label) ticks."""
+    scale = math.log10 if log_log else float
+    lo, hi = scale(min(values)), scale(max(values))
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    if log_log:
+        decades = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
+        ticks = [(10.0**e, f"1e{e}") for e in decades]
+    else:
+        step = (hi - lo) / 5.0
+        ticks = [(t, f"{t:.3g}") for t in (lo + i * step for i in range(6))]
+    return (lambda v: start + (scale(v) - lo) / (hi - lo) * span), ticks
+
+
 def render_line_chart(
     path: str,
     series: list[tuple[str, list[float], list[float]]],
     title: str,
-    x_label: str,
-    y_label: str,
     log_log: bool = True,
 ) -> None:
-    """Minimal deterministic SVG line chart with a fixed 800x600 viewBox."""
-    width, height = 800.0, 600.0
-    left, right, top, bottom = 80.0, 20.0, 50.0, 60.0
+    """Deterministic SVG chart of gap against iteration k, then ``wrote <path>`` on stdout.
 
+    The viewBox is a fixed 800x600; the plot frame spans x 80..780 and y 50..540.
+    """
     cleaned = []
     for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-        if log_log:
-            pts = [(x, y) for x, y in pts if x > 0 and y > 0]
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+               if math.isfinite(x) and math.isfinite(y) and (not log_log or (x > 0 and y > 0))]
         if pts:
             cleaned.append((label, pts))
     if not cleaned and log_log:
-        return render_line_chart(path, series, title, x_label, y_label, log_log=False)
+        return render_line_chart(path, series, title, log_log=False)
 
-    all_x = [x for _, pts in cleaned for x, _ in pts] or [1.0]
-    all_y = [y for _, pts in cleaned for _, y in pts] or [1.0]
-
-    def limits(values):
-        lo, hi = min(values), max(values)
-        if log_log:
-            lo, hi = math.log10(lo), math.log10(hi)
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5, hi + 0.5
-        return lo, hi
-
-    x_lo, x_hi = limits(all_x)
-    y_lo, y_hi = limits(all_y)
-
-    def px(x):
-        t = math.log10(x) if log_log else x
-        return left + (t - x_lo) / (x_hi - x_lo) * (width - left - right)
-
-    def py(y):
-        t = math.log10(y) if log_log else y
-        return height - bottom - (t - y_lo) / (y_hi - y_lo) * (height - top - bottom)
-
-    def ticks(lo, hi):
-        if log_log:
-            return [10.0**e for e in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)]
-        step = (hi - lo) / 5.0
-        return [lo + i * step for i in range(6)]
-
+    px, x_ticks = _axis([x for _, pts in cleaned for x, _ in pts] or [1.0], log_log, 80.0, 700.0)
+    py, y_ticks = _axis([y for _, pts in cleaned for _, y in pts] or [1.0], log_log, 540.0, -490.0)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="18">{title}</text>',
-        f'<rect x="{left:g}" y="{top:g}" width="{width - left - right:g}" '
-        f'height="{height - top - bottom:g}" fill="none" stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 12:.1f}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
-        f'<text x="20" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 20 {height / 2:.1f})">{y_label}</text>',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600">',
+        '<rect width="800" height="600" fill="white"/>',
+        f'<text x="400.0" y="24" text-anchor="middle" font-size="18">{title}</text>',
+        '<rect x="80" y="50" width="700" height="490" fill="none" stroke="black"/>',
+        '<text x="400.0" y="588.0" text-anchor="middle" font-size="14">iteration k</text>',
+        '<text x="20" y="300.0" text-anchor="middle" font-size="14" '
+        'transform="rotate(-90 20 300.0)">gap</text>',
     ]
-    for tick in ticks(x_lo, x_hi):
-        tx = px(tick)
-        label = f"1e{int(round(math.log10(tick)))}" if log_log else f"{tick:.3g}"
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{height - bottom:.1f}" x2="{tx:.2f}" '
-            f'y2="{height - bottom + 5:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{height - bottom + 20:.1f}" text-anchor="middle" '
-            f'font-size="12">{label}</text>'
-        )
-    for tick in ticks(y_lo, y_hi):
-        ty = py(tick)
-        label = f"1e{int(round(math.log10(tick)))}" if log_log else f"{tick:.3g}"
-        parts.append(
-            f'<line x1="{left - 5:.1f}" y1="{ty:.2f}" x2="{left:.1f}" y2="{ty:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.1f}" y="{ty + 4:.2f}" text-anchor="end" font-size="12">{label}</text>'
-        )
+    for tick, label in x_ticks:
+        x = px(tick)
+        parts += [f'<line x1="{x:.2f}" y1="540.0" x2="{x:.2f}" y2="545.0" stroke="black"/>',
+                  f'<text x="{x:.2f}" y="560.0" text-anchor="middle" font-size="12">{label}</text>']
+    for tick, label in y_ticks:
+        y = py(tick)
+        parts += [f'<line x1="75.0" y1="{y:.2f}" x2="80.0" y2="{y:.2f}" stroke="black"/>',
+                  f'<text x="72.0" y="{y + 4:.2f}" text-anchor="end" font-size="12">{label}</text>']
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width - right - 10:.1f}" y="{top + 18 + 16 * idx:.1f}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{label}</text>'
-        )
+        parts += [f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                  'stroke-width="1.5"/>',
+                  f'<text x="770.0" y="{68 + 16 * idx:.1f}" text-anchor="end" font-size="12" '
+                  f'fill="{color}">{label}</text>']
     parts.append("</svg>")
     write_atomic(path, "\n".join(parts) + "\n")
+    print(f"wrote {path}")
 
 
 # --- configuration helpers ----------------------------------------------
@@ -217,9 +190,15 @@ def parse_schedule(text: str):
     raise ConfigError(f"unknown schedule {text!r} (expected const:n or quad:A)")
 
 
+def _split_list(value) -> list:
+    """A JSON list as given, or text split at its commas with the empty parts dropped."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return [part for part in str(value).split(",") if part]
+
+
 def parse_seeds(value) -> list[int]:
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    seeds = [_as_int(part, "a seed", 0) for part in parts if part != ""]
+    seeds = [_as_int(part, "a seed", 0) for part in _split_list(value)]
     if not seeds:
         raise ConfigError("at least one seed is required")
     if len(set(seeds)) < len(seeds):
@@ -253,8 +232,16 @@ def _require(merged: dict, key: str):
     return merged[key]
 
 
+def _text(merged: dict, key: str, required: bool = False) -> str | None:
+    """A path or schedule option, or None when an optional one is not given."""
+    value = _require(merged, key) if required else merged.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"--{key} must be a string, got {value!r}")
+    return value
+
+
 def _load_problem(merged: dict) -> MiqpInstance:
-    path = _require(merged, "instance")
+    path = _text(merged, "instance", required=True)
     try:
         return load_instance(path)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -262,16 +249,17 @@ def _load_problem(merged: dict) -> MiqpInstance:
 
 
 def _as_int(value, name: str, minimum: int) -> int:
-    """``value`` as an integer >= ``minimum``; booleans and fractions are config errors."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """``value`` as an integer >= ``minimum``: ``5``, ``5.0`` and ``"5"`` pass; ``true``,
+    ``3.9`` and ``"x"`` are config errors."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
     try:
-        number = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
-    if number < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
-    return number
+        return _count(value, name, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _int_option(merged: dict, key: str, minimum: int, default: int | None = None) -> int:
@@ -318,12 +306,12 @@ def _parse_run(merged: dict, command: str) -> _RunSpec:
     if algorithm not in ("fw", "sfw"):
         raise ConfigError(f"unknown algorithm {algorithm!r} (expected fw or sfw)")
     stopping = _switch(merged, "stopping_time", False)
-    scheduled = merged.get("schedule") is not None
+    schedule = _text(merged, "schedule")
     if stopping and algorithm != "sfw":
         raise ConfigError("--stopping-time implies the sfw algorithm")
-    if scheduled and algorithm != "sfw":
+    if schedule is not None and algorithm != "sfw":
         raise ConfigError("--schedule implies the sfw algorithm")
-    if stopping and scheduled:
+    if stopping and schedule is not None:
         raise ConfigError("--stopping-time chooses its own draw counts; drop --schedule")
     rule_name = merged.get("rule", "canonical")
     foreign, solver = ("ls-sfw", "stochastic") if algorithm == "fw" else ("ls-fw", "deterministic")
@@ -335,7 +323,7 @@ def _parse_run(merged: dict, command: str) -> _RunSpec:
         n_iters,
         algorithm,
         rule=parse_rule(rule_name, problem),
-        schedule=parse_schedule(merged.get("schedule") or "const:1"),
+        schedule=parse_schedule(schedule or "const:1"),
         stopping=stopping,
         keep_if_worse=_switch(merged, "keep_if_worse", True),
         svg=_switch(merged, "svg", False),
@@ -363,7 +351,7 @@ def cmd_generate(merged: dict) -> int:
     m = _int_option(merged, "m", 1)
     n = _int_option(merged, "n", 1)
     seed = _int_option(merged, "seed", 0)
-    out = _require(merged, "out")
+    out = _text(merged, "out", required=True)
     instance = generate(m, n, seed)
     save_instance(instance, out)
     constants = compute_constants(instance)
@@ -390,7 +378,7 @@ def cmd_run(merged: dict, command: str) -> int:
         raise ConfigError(f"{command} takes exactly one seed")
     name = spec.algorithm
     select_n = _int_option(merged, "select_n", 0, default=0) if name == "fw" else 0
-    out_dir = _require(merged, "out")
+    out_dir = _text(merged, "out", required=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     if spec.n_iters == 0:
         write_csv(csv_path, [])
@@ -415,22 +403,16 @@ def cmd_run(merged: dict, command: str) -> int:
     if spec.svg:
         reference = _reference_value(spec.problem)
         label, title = _CHARTS[name]
-        svg_path = os.path.join(out_dir, f"{name}.svg")
-        render_line_chart(
-            svg_path,
-            [(label, [row["k"] for row in rows], [row["value"] - reference for row in rows])],
-            title=title,
-            x_label="iteration k",
-            y_label="gap",
-        )
-        print(f"wrote {svg_path}")
+        gaps = [row["value"] - reference for row in rows]
+        render_line_chart(os.path.join(out_dir, f"{name}.svg"),
+                          [(label, [row["k"] for row in rows], gaps)], title)
     return EXIT_OK
 
 
 def cmd_sweep(merged: dict) -> int:
     spec = _parse_run(merged, "sweep")
     seeds = parse_seeds(_require(merged, "seeds"))
-    out_dir = _require(merged, "out")
+    out_dir = _text(merged, "out", required=True)
     reference = _reference_value(spec.problem)
 
     per_seed = []
@@ -439,31 +421,22 @@ def cmd_sweep(merged: dict) -> int:
         write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), rows)
         per_seed.append(np.array([row["value"] - reference for row in rows]))
 
-    gaps = np.stack(per_seed)  # (seeds, iterations + 1)
-    lines = ["k,mean,std,min,max,count"]
-    for k in range(gaps.shape[1]):
-        column = gaps[:, k]
-        std = column.std(ddof=1) if len(seeds) > 1 else 0.0
-        lines.append(
-            f"{k},{_fmt(float(column.mean()))},{_fmt(float(std))},"
-            f"{_fmt(float(column.min()))},{_fmt(float(column.max()))},{len(seeds)}"
-        )
+    summary = [  # one row per iteration k, over the (seeds, iterations + 1) gaps
+        {"k": k, "mean": float(column.mean()),
+         "std": float(column.std(ddof=1)) if len(seeds) > 1 else 0.0,
+         "min": float(column.min()), "max": float(column.max()), "count": len(seeds)}
+        for k, column in enumerate(np.stack(per_seed).T)
+    ]
     summary_path = os.path.join(out_dir, "summary.csv")
-    write_atomic(summary_path, "\n".join(lines) + "\n")
+    write_csv(summary_path, summary, SUMMARY_COLUMNS)
     print(f"swept {len(seeds)} seeds; wrote {summary_path}")
     if spec.svg:
-        ks = list(range(gaps.shape[1]))
+        ks = [row["k"] for row in summary]
         render_line_chart(
             os.path.join(out_dir, "sweep.svg"),
-            [
-                ("mean gap", ks, gaps.mean(axis=0).tolist()),
-                ("max gap", ks, gaps.max(axis=0).tolist()),
-            ],
-            title=f"{spec.algorithm} sweep over {len(seeds)} seeds",
-            x_label="iteration k",
-            y_label="gap",
+            [(f"{stat} gap", ks, [row[stat] for row in summary]) for stat in ("mean", "max")],
+            f"{spec.algorithm} sweep over {len(seeds)} seeds",
         )
-        print(f"wrote {os.path.join(out_dir, 'sweep.svg')}")
     return EXIT_OK
 
 
@@ -471,9 +444,7 @@ def _parse_float_list(value, fallback: list[float]) -> list[float]:
     if value is None:
         return fallback
     try:
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value] or fallback
-        return [float(v) for v in str(value).split(",") if v] or fallback
+        return [float(v) for v in _split_list(value)] or fallback
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad number list {value!r}: {exc}") from exc
 
@@ -483,7 +454,8 @@ def cmd_bounds(merged: dict) -> int:
     constants = compute_constants(problem)
     n = constants.n_agents
     n_iters = _int_option(merged, "iters", 1, default=min(2 * n, 200))
-    schedule_text = merged.get("schedule") or "const:1"
+    schedule_text = _text(merged, "schedule") or "const:1"
+    out = _text(merged, "out")
     schedule = parse_schedule(schedule_text)
     eps_list = _parse_float_list(merged.get("eps"), [gap_bound_basic(constants)])
     if any(not 0 <= eps < math.inf for eps in eps_list):
@@ -505,7 +477,8 @@ def cmd_bounds(merged: dict) -> int:
             str(eps): mcdiarmid_tail(n, eps, constants.c0) for eps in eps_list
         },
         "selection_sample_size": {
-            str(zeta): sample_size_for_confidence(min(n_iters, n), n, zeta, constants.c0, constants.c1)
+            str(zeta): sample_size_for_confidence(min(n_iters, n), n, zeta, constants.c0,
+                                                  constants.c1)
             for zeta in zeta_list
         },
         "sfw": {
@@ -514,7 +487,8 @@ def cmd_bounds(merged: dict) -> int:
             "v_K": v_k,
             "m_K": m_k,
             "expectation_bound": 4.0 * constants.c1 / n_iters,
-            "tail": {str(eps): sfw_tail(n_iters, eps, n, constants.c0, schedule) for eps in eps_list},
+            "tail": {str(eps): sfw_tail(n_iters, eps, n, constants.c0, schedule)
+                     for eps in eps_list},
         },
     }
     if isinstance(schedule, QuadraticSchedule):
@@ -537,9 +511,9 @@ def cmd_bounds(merged: dict) -> int:
     if "success_probability" in report["sfw"]:
         print(f"sfw schedule success probability 1-exp(-A/12) = "
               f"{report['sfw']['success_probability']:.6g}")
-    if merged.get("out"):
-        write_atomic(merged["out"], json.dumps(report, indent=2) + "\n")
-        print(f"wrote {merged['out']}")
+    if out:
+        write_atomic(out, json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
     return EXIT_OK
 
 

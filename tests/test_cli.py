@@ -16,7 +16,7 @@ from aggfw.bounds import (
     mcdiarmid_tail,
     sfw_tail_constants,
 )
-from aggfw.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from aggfw.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, render_line_chart
 from aggfw.miqp import ReferenceSolverError
 from aggfw.stochastic_fw import QuadraticSchedule
 
@@ -317,6 +317,14 @@ class TestMisuse:
             ("run-sfw", {"stopping_time": "false"}),
             ("run-sfw", {"keep_if_worse": 1}),
             ("sweep", {"svg": "yes"}),
+            ("run-sfw", {"schedule": 5}),
+            ("run-sfw", {"schedule": ["const:2"]}),
+            ("bounds", {"schedule": 5}),
+            ("generate", {"out": 5}),
+            ("run-fw", {"out": 5}),
+            ("bounds", {"out": 5}),
+            ("run-fw", {"instance": ["a"]}),
+            ("run-fw", {"instance": 3}),  # not file descriptor 3
         ],
     )
     def test_mistyped_config_values_are_config_errors(
@@ -363,6 +371,36 @@ class TestMisuse:
                      "--out", str(tmp_path / "inst")]) == EXIT_CONFIG
         assert "cannot write output" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestChart:
+    """``render_line_chart`` on fixed series whose branches no command reaches."""
+
+    @pytest.mark.parametrize(
+        "name, series",
+        [
+            # no positive point: the log-log axes fall back to linear ones
+            ("chart_linear_fallback",
+             [("no positive point", [0, 1, 2, 3], [-1 / 3, 0.0, -0.1, math.nan])]),
+            ("chart_no_finite_point", [("nothing", [1, 2], [math.nan, math.inf])]),
+            # a constant series: its axis is widened by half a decade each way
+            ("chart_constant", [("flat", [1, 2, 4, 8], [0.25, 0.25, 0.25, 0.25])]),
+            # three series: three palette colours and three legend rows
+            ("chart_three_series",
+             [("a", [1, 2, 3], [1.0, 0.1, 0.01]), ("b", [1, 2, 3], [2.0, 0.5, 0.125]),
+              ("c", [1, 2, 3], [0.5, 0.3, 0.2])]),
+        ],
+    )
+    def test_bytes(self, tmp_path, capsys, name, series):
+        path = tmp_path / f"{name}.svg"
+        render_line_chart(str(path), series, title=name)
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert path.read_text(encoding="utf-8") == (GOLDEN / f"{name}.svg").read_text(
+            encoding="utf-8"
+        )
 
 
 class TestConfigFile:
