@@ -235,8 +235,8 @@ def _require(merged: dict, key: str):
 def _text(merged: dict, key: str, required: bool = False) -> str | None:
     """A path or schedule option, or None when an optional one is not given."""
     value = _require(merged, key) if required else merged.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"--{key} must be a string, got {value!r}")
+    if value is not None and not (isinstance(value, str) and value):
+        raise ConfigError(f"--{key} must be a non-empty string, got {value!r}")
     return value
 
 
@@ -415,9 +415,10 @@ def cmd_sweep(merged: dict) -> int:
     out_dir = _text(merged, "out", required=True)
     reference = _reference_value(spec.problem)
 
+    fw_rows = _run(spec, seeds[0])[1] if spec.algorithm == "fw" else None  # FW reads no seed
     per_seed = []
     for seed in seeds:
-        _, rows = _run(spec, seed)
+        rows = fw_rows if fw_rows is not None else _run(spec, seed)[1]
         write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), rows)
         per_seed.append(np.array([row["value"] - reference for row in rows]))
 

@@ -133,12 +133,13 @@ def fw_run(
     initial = initial if initial is not None else zero_gradient_profile(problem)
     profile, y = MeasureProfile.dirac(initial), aggregate_of(problem, initial)
     held, agents = _HeldRows(problem), np.arange(problem.n_agents)
+    ones, sizes = np.ones((problem.n_agents, 1)), np.ones(problem.n_agents, dtype=np.intp)
     records: list[FwRecord] = []
     for k in range(n_iters + 1):
         start = time.perf_counter()
         grad = problem.f_grad(y)
-        xbar = DecisionProfile(problem.best_response_all(grad))
-        held.hold(agents, np.fromiter(xbar.decisions, dtype=object))
+        xbar = held.responses(grad, agents)
+        held.hold(agents, xbar)
         ybar = rows_aggregate(problem, held.rows)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)
         value = problem.f_value(y)
@@ -152,7 +153,7 @@ def fw_run(
             break
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
         supports = profile.support_sizes  # state at k, before the update
-        profile = mix(profile, MeasureProfile.dirac(xbar), omega)
+        profile = mix(profile, MeasureProfile._of(ones, xbar[:, None], sizes), omega)  # Dirac xbar
         y = (1.0 - omega) * y + omega * ybar
         record = FwRecord(k, value, beta, omega, supports,
                           (time.perf_counter() - start) * 1e3)

@@ -145,13 +145,13 @@ def _workspace(n_max: int, n_agents: int, dim: int) -> tuple[np.ndarray, np.ndar
 
 
 def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linearization:
-    """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents``.  A response
-    row is the agent's own row if its token is unchanged, else the row ``held`` holds."""
+    """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents`` via ``held``.
+    A response row is the agent's own row if its token is unchanged, else the one held."""
     n, dims = problem.n_agents, problem.block_dims
     y = rows_aggregate(problem, rows)
     grad = problem.f_grad(y)
     solved = np.fromiter(agents, dtype=np.intp)
-    best = np.fromiter(problem.best_response_all(grad, solved), dtype=object)
+    best = held.responses(grad, solved)
     tokens = np.fromiter(profile.decisions, dtype=object)
     moved = solved[~(tokens[solved] == best)]
     tokens[solved] = best
@@ -280,8 +280,8 @@ def sfw_run(
     The step rule is the canonical one or its closed-loop variant; the
     closed-loop rule needs the dual gap before sampling, so it forces a
     full subproblem resolution and disables the active-set shortcut.
-    The subproblems are then solved once per iteration, and the same
-    best responses serve the gap and the candidates.
+    The same best responses serve the gap and the candidates, and a
+    rejected step's answers serve the next (the gradient stays put).
     The convergence guarantees cover iteration counts up to 2N; longer
     runs are allowed but flagged.  A terminal sentinel record carries
     the final objective (its draw and active counts are zero).

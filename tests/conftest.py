@@ -120,13 +120,17 @@ INSTANCES = {
 
 class CountingInstance:
     """Transparent wrapper counting subproblem solves (one per agent solved),
-    gradient evaluations and the rows requested through ``contributions``."""
+    gradient evaluations and the rows requested through ``contributions``.
+    ``gradients`` keeps the bytes of each gradient evaluated, and ``asked`` one
+    ``(gradients evaluated so far, gradient bytes, agents)`` per ``best_response_all``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
         self.grads = 0
         self.rows = 0
+        self.gradients = []
+        self.asked = []
 
     def contributions(self, agents, decisions):
         self.rows += len(agents)
@@ -137,15 +141,24 @@ class CountingInstance:
         return self.inner.best_response(i, grad)
 
     def best_response_all(self, grad, agents=None):
-        self.calls += self.inner.n_agents if agents is None else len(agents)
+        asked = list(range(self.inner.n_agents)) if agents is None else np.asarray(agents).tolist()
+        self.calls += len(asked)
+        self.asked.append((self.grads, grad.values.tobytes(), asked))
         return self.inner.best_response_all(grad, agents)
 
     def f_grad(self, y):
         self.grads += 1
-        return self.inner.f_grad(y)
+        grad = self.inner.f_grad(y)
+        self.gradients.append(grad.values.tobytes())
+        return grad
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+def gradient_runs(gradients):
+    """Run number of each gradient: it goes up by one where the bytes change."""
+    return np.cumsum([bool(i) and a != gradients[i - 1] for i, a in enumerate(gradients)])
 
 
 @pytest.fixture(scope="session")

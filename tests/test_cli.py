@@ -212,6 +212,21 @@ class TestSweep:
                      "--iters", "10", "--seeds", "0,1", "--out", str(out)]) == EXIT_OK
         assert (out / "summary.csv").exists()
 
+    def test_fw_sweep_runs_fw_once_for_every_seed(self, tmp_path, instance_path, monkeypatch):
+        calls, fw_run = [], aggfw.cli.fw_run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fw_run(*args, **kwargs)
+
+        monkeypatch.setattr(aggfw.cli, "fw_run", counted)
+        out = tmp_path / "fwsweep"
+        assert main(["sweep", "--instance", str(instance_path), "--algorithm", "fw",
+                     "--iters", "6", "--seeds", "0,1,2", "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        first = (out / "seed_0.csv").read_bytes()
+        assert (out / "seed_1.csv").read_bytes() == first == (out / "seed_2.csv").read_bytes()
+
     def test_svg_render(self, tmp_path, instance_path):
         out = tmp_path / "svgsweep"
         assert main(["sweep", "--instance", str(instance_path), "--iters", "6",
@@ -325,6 +340,8 @@ class TestMisuse:
             ("bounds", {"out": 5}),
             ("run-fw", {"instance": ["a"]}),
             ("run-fw", {"instance": 3}),  # not file descriptor 3
+            ("bounds", {"out": ""}),
+            ("run-sfw", {"schedule": ""}),
         ],
     )
     def test_mistyped_config_values_are_config_errors(
@@ -341,6 +358,34 @@ class TestMisuse:
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "inst.json").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run-fw", "--iters", "3", "--out", ""],
+            ["run-sfw", "--iters", "3", "--out", ""],
+            ["sweep", "--iters", "3", "--seeds", "0", "--out", ""],
+            ["bounds", "--out", ""],
+            ["run-sfw", "--iters", "3", "--schedule", "", "--out", "x"],
+            ["run-sfw", "--iters", "3", "--stopping-time", "--schedule", "", "--out", "x"],
+            ["bounds", "--schedule", ""],
+            ["run-fw", "--iters", "3", "--instance", "", "--out", "x"],
+            ["generate", "--m", "3", "--n", "5", "--seed", "0", "--out", ""],
+        ],
+    )
+    def test_empty_path_or_schedule_is_config_error(
+        self, tmp_path, instance_path, monkeypatch, args, capsys
+    ):
+        key = args[args.index("") - 1]
+        if args[0] != "generate" and "--instance" not in args:
+            args = args + ["--instance", str(instance_path)]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{key} must be a non-empty string" in captured.err
+        assert captured.out == "" and list(work.iterdir()) == []
 
     def test_integer_strings_and_integral_numbers_are_accepted(self, tmp_path, instance_path):
         config = {"instance": str(instance_path), "iters": "5", "seeds": [2.0],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from aggfw.problems import (
     zero_gradient_profile,
 )
 
-from conftest import INSTANCES
+from conftest import INSTANCES, CountingInstance, TableInstance
 
 
 class TestAggregate:
@@ -234,6 +236,93 @@ class TestBestResponseAll:
             assert problem.best_response_all(grad) == problem.best_response_all(
                 grad, range(problem.n_agents)
             )
+
+
+class SignOfZero(TableInstance):
+    """Three agents choosing 0 or 1 by the sign of the gradient's first entry, read with
+    ``math.copysign`` so that -0.0 and 0.0 get different answers."""
+
+    def __init__(self):
+        super().__init__([[[0.0, 0.0], [1.0, 0.0]]] * 3, target=[0.0, 0.0])
+
+    def best_response(self, i, grad):
+        return int(math.copysign(1.0, grad.values[0]) < 0.0)
+
+
+class FailsForTwo(TableInstance):
+    """A table instance whose oracle raises for agent 2."""
+
+    def __init__(self):
+        super().__init__([[[0.0], [1.0]]] * 4, target=[0.5])
+
+    def best_response(self, i, grad):
+        if i == 2:
+            raise ArithmeticError("no answer")
+        return super().best_response(i, grad)
+
+
+def flip_last_bit(values):
+    bits = values.view(np.int64).copy()
+    bits[-1] ^= 1
+    return bits.view(float)
+
+
+class TestHeldResponses:
+    """``_HeldRows.responses`` asks the oracle, in the order given, only for the agents
+    it has not answered since the gradient's bits last changed."""
+
+    def held(self, problem):
+        counting = CountingInstance(problem)
+        return counting, _HeldRows(counting)
+
+    def test_the_same_gradient_bits_make_no_new_call(self, miqp_small):
+        counting, held = self.held(miqp_small)
+        values, agents = np.linspace(-1, 1, miqp_small.total_dim), np.arange(10)
+        first = held.responses(Aggregate(values, miqp_small.block_dims), agents)
+        again = held.responses(Aggregate(values.copy(), miqp_small.block_dims), agents[::-1])
+        assert len(counting.asked) == 1 and counting.calls == 10
+        assert list(again) == list(first[::-1]) == miqp_small.best_response_all(
+            Aggregate(values, miqp_small.block_dims), agents[::-1]
+        )
+
+    def test_one_changed_bit_asks_every_requested_agent_again(self, miqp_small):
+        counting, held = self.held(miqp_small)
+        values, dims = np.linspace(-1, 1, miqp_small.total_dim), miqp_small.block_dims
+        held.responses(Aggregate(values, dims), np.arange(10))
+        flipped = Aggregate(flip_last_bit(values), dims)
+        got = held.responses(flipped, np.array([7, 2, 5]))
+        assert counting.asked[-1] == (0, flipped.values.tobytes(), [7, 2, 5])
+        assert list(got) == miqp_small.best_response_all(flipped, [7, 2, 5])
+
+    def test_signed_zeros_are_different_gradients(self):
+        counting, held = self.held(SignOfZero())
+        agents = np.arange(3)
+        plus = held.responses(Aggregate([0.0, 1.0], (1, 1)), agents)
+        minus = held.responses(Aggregate([-0.0, 1.0], (1, 1)), agents)
+        assert list(plus) == [0, 0, 0] and list(minus) == [1, 1, 1]
+        assert [asked for _, _, asked in counting.asked] == [[0, 1, 2], [0, 1, 2]]
+
+    def test_unsorted_repeated_and_empty_agent_lists(self, table_instance):
+        counting, held = self.held(table_instance)
+        grad = Aggregate([0.4, -1.3], table_instance.block_dims)
+        expected = [table_instance.best_response(i, grad) for i in range(4)]
+        assert list(held.responses(grad, np.array([3, 1, 3, 0]))) == [
+            expected[3], expected[1], expected[3], expected[0]
+        ]
+        assert list(held.responses(grad, np.array([], dtype=np.intp))) == []
+        assert list(held.responses(grad, np.array([2, 1, 2]))) == [
+            expected[2], expected[1], expected[2]
+        ]
+        # each unanswered entry is asked in order; the solvers ask no agent twice
+        assert [asked for _, _, asked in counting.asked] == [[3, 1, 3, 0], [2, 2]]
+
+    def test_an_oracle_failure_names_the_agent(self):
+        counting, held = self.held(FailsForTwo())
+        grad = Aggregate([-1.0], (1,))
+        assert list(held.responses(grad, np.array([0, 1]))) == [1, 1]
+        with pytest.raises(RuntimeError, match="best response of agent 2 failed: no answer"):
+            held.responses(grad, np.array([3, 2, 0]))
+        assert [asked for _, _, asked in counting.asked] == [[0, 1], [3, 2]]
 
 
 class TestZeroGradientProfile:

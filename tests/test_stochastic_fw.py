@@ -26,7 +26,7 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-from conftest import INSTANCES, CountingInstance, TableInstance, cycling_tables
+from conftest import INSTANCES, CountingInstance, TableInstance, cycling_tables, gradient_runs
 
 
 class NanAwayFrom(TableInstance):
@@ -213,7 +213,10 @@ class TestSfwRun:
         rule = LineSearchSfwStep.from_constants(compute_constants(miqp_small))
         start = zero_gradient_profile(miqp_small)
         sfw_run(counting, 8, ConstantSchedule(4), seed=2, rule=rule, initial=start)
-        assert counting.calls == 8 * miqp_small.n_agents
+        n, runs = miqp_small.n_agents, gradient_runs(counting.gradients)
+        # N solves per run of equal gradients: steps 1-7 are rejected, so two runs
+        assert counting.calls == n * (runs[-1] + 1) == 20
+        assert counting.calls <= 8 * n
         assert counting.grads == 8  # one gradient per linearization
 
     def test_rejects_fw_line_search_rule(self, miqp_small):
@@ -472,6 +475,27 @@ def _reference_stopping(problem, n_iters, seed):
     nan = math.nan
     records.append(aggfw.SfwRecord(n_iters, objective(problem, profile), nan, nan, 0, 0, False, 0))
     return profile, records
+
+
+class TestHeldResponses:
+    """The run loops keep the best responses to the last gradient: a rejected step
+    leaves the gradient's bits as they were, and its answers serve the next step."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1), st.booleans(),
+           st.integers(1, 5), st.integers(1, 10))
+    def test_canonical_run_asks_each_agent_once_per_run_of_equal_gradients(
+        self, name, seed, keep, n_draws, n_iters
+    ):
+        counting = CountingInstance(INSTANCES[name](seed % 1000))
+        _, records = sfw_run(counting, n_iters, ConstantSchedule(n_draws), seed,
+                             keep_if_worse=keep)
+        runs, asked = gradient_runs(counting.gradients), {}
+        for n_grads, bits, agents in counting.asked[1:]:  # [0] is the zero-gradient start
+            assert bits == counting.gradients[n_grads - 1]  # the latest gradient
+            asked.setdefault(runs[n_grads - 1], []).extend(agents)
+        assert all(len(agents) == len(set(agents)) for agents in asked.values())
+        assert counting.calls <= counting.n_agents + sum(r.active_count for r in records)
 
 
 class TestCarriedRowsEquivalence:
