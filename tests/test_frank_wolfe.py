@@ -28,7 +28,7 @@ from aggfw.problems import (
     linearized_best_response,
     zero_gradient_profile,
 )
-from conftest import INSTANCES, CountingInstance
+from conftest import INSTANCES, CountingInstance, TableInstance
 
 
 class TestStepRules:
@@ -271,6 +271,34 @@ class TestFwThenSelection:
         decisions, value = select_best(miqp_small, profile, 25, _rng.stream(3, _rng.SELECTION))
         assert value.hex() == "0x1.aa70c3c7bb5cep-6"
         assert decisions.decisions == (0, 1, 0, 0, 1, 0, 0, 1, 0, 0)
+
+
+def wide_tables():
+    """Six agents with 8 to 12 decisions each in R^4: Frank-Wolfe grows supports of up to
+    9 atoms within 60 iterations."""
+    rng = np.random.default_rng(2)
+    tables = [rng.normal(size=(8 + i % 5, 4)) for i in range(6)]
+    return TableInstance(tables, target=rng.normal(size=4) * 0.3)
+
+
+class TestWideSupportTrajectory:
+    """``fw_run`` on ``wide_tables``, 60 iterations: digests of the records (as
+    ``_bits``) and of the final weights' bits, and the final tokens, pinned."""
+
+    @pytest.mark.parametrize("rule, digest, weights, tokens", [
+        (CanonicalStep(), "af0b36c9d5d0f62a", "c1104267a3d4a65f",
+         [(1, 0, 7, 6, 2), (3, 8, 6, 7, 2, 4, 5), (2, 5, 9, 8, 6, 4, 0, 7),
+          (9, 0, 7, 1, 2, 10, 4), (6, 11, 10, 4, 9, 8, 7), (7, 5, 1, 0, 4)]),
+        (LineSearchFwStep(), "69891ae5cd5d1883", "7ebe6d68d2079249",
+         [(0, 1), (0, 3, 6, 2, 8, 5), (0, 2, 9, 4, 6, 5, 8), (0, 9, 7, 10, 4, 2),
+          (0, 6, 4, 7, 10, 8, 3, 9, 11), (0, 7, 5, 1)]),
+    ])
+    def test_records_weights_and_tokens_are_pinned(self, rule, digest, weights, tokens):
+        profile, records = fw_run(wide_tables(), 60, rule=rule)
+        assert max(max(r.support_sizes) for r in records) >= 8
+        assert hashlib.sha256(repr(_bits(records)).encode()).hexdigest()[:16] == digest
+        assert hashlib.sha256(profile.weights.tobytes()).hexdigest()[:16] == weights
+        assert [m.decisions for m in profile.measures] == tokens
 
 
 class TestFwWithSelection:

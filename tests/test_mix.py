@@ -6,12 +6,20 @@ kept here as the reference, and the array mean aggregate with the
 per-measure loop.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import aggfw
-from aggfw.measures import PRUNE_WEIGHT, DiscreteMeasure, MeasureProfile, mix, sample_profile
+from aggfw.measures import (
+    PRUNE_WEIGHT,
+    DiscreteMeasure,
+    MeasureProfile,
+    mix,
+    sample_profile,
+    select_best,
+)
 from aggfw.problems import DecisionProfile, sequential_sum
 
 from conftest import TableInstance
@@ -88,14 +96,23 @@ def raw_measures(draw, tokens=TOKENS, min_size=1, max_size=5):
 
 
 @st.composite
-def profiles(draw, n_agents, tokens=TOKENS):
+def profiles(draw, n_agents, tokens=TOKENS, max_size=5):
     """A profile of mixed support widths, or a Dirac profile, and its reference atoms."""
     if draw(st.booleans()):
         decisions = draw(st.lists(tokens, min_size=n_agents, max_size=n_agents))
         return MeasureProfile.dirac(DecisionProfile(decisions)), [((1.0, d),) for d in decisions]
-    raw = [draw(raw_measures(tokens)) for _ in range(n_agents)]
+    raw = [draw(raw_measures(tokens, max_size=max_size)) for _ in range(n_agents)]
     profile = MeasureProfile(DiscreteMeasure(i, atoms) for i, atoms in enumerate(raw))
     return profile, [reference_atoms(atoms) for atoms in raw]
+
+
+def atom_arrays(rows):
+    """(N, S) weights and tokens holding equal-length raw atom lists, one per row."""
+    weights = np.array([[w for w, _ in atoms] for atoms in rows])
+    tokens = np.empty(weights.shape, dtype=object)
+    for i, atoms in enumerate(rows):
+        tokens[i] = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))
+    return weights, tokens
 
 
 def assert_matches(profile, atoms):
@@ -125,10 +142,7 @@ class TestMergeEqualsDictMerge:
         lambda s: st.lists(raw_measures(min_size=s, max_size=s), min_size=1, max_size=6)
     ))
     def test_from_atoms_equals_the_discrete_measures(self, rows):
-        weights = np.array([[w for w, _ in atoms] for atoms in rows])
-        tokens = np.empty(weights.shape, dtype=object)
-        for i, atoms in enumerate(rows):
-            tokens[i] = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))
+        weights, tokens = atom_arrays(rows)
         profile = MeasureProfile.from_atoms(weights, tokens)
         assert_matches(profile, [reference_atoms(atoms) for atoms in rows])
         assert profile == MeasureProfile(
@@ -177,6 +191,101 @@ class TestMergeEqualsDictMerge:
         assert_matches(aggfw.bernoulli_profile(instance, point), expected)
 
 
+# Integers widen the supports past the 13 shared tokens.
+WIDE_TOKENS = st.one_of(TOKENS, st.integers(3, 20))
+
+
+def wide_pairs(n_agents):
+    """A base profile of up to 12 atoms per agent and one of up to 3 to mix into it."""
+    return st.tuples(profiles(n_agents, WIDE_TOKENS, 12), profiles(n_agents, WIDE_TOKENS, 3))
+
+
+def in_order(profile, order):
+    """The profile with its arrays copied to C or F memory order."""
+    return MeasureProfile._of(np.asarray(profile.weights, order=order).copy(order=order),
+                              np.asarray(profile.tokens, order=order).copy(order=order),
+                              profile.sizes.copy())
+
+
+def assert_same_bits(got, want):
+    """Equal weight bits, support sizes and token objects, padding included."""
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.support_sizes == want.support_sizes
+    assert got.tokens.shape == want.tokens.shape
+    assert all(a is b for a, b in zip(got.tokens.ravel().tolist(), want.tokens.ravel().tolist()))
+
+
+class TestWideSupports:
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(wide_pairs), OMEGAS)
+    def test_mix_up_to_twelve_atoms_and_three_extra_columns(self, pair, omega):
+        (profile_a, atoms_a), (profile_b, atoms_b) = pair
+        assert_matches(mix(profile_a, profile_b, omega), reference_mix(atoms_a, atoms_b, omega))
+
+    @PROPERTY
+    @given(st.integers(1, 12).flatmap(
+        lambda s: st.lists(raw_measures(WIDE_TOKENS, s, s), min_size=1, max_size=6)
+    ))
+    def test_from_atoms_up_to_twelve_columns(self, rows):
+        profile = MeasureProfile.from_atoms(*atom_arrays(rows))
+        assert_matches(profile, [reference_atoms(atoms) for atoms in rows])
+
+    @pytest.mark.parametrize("omega", [0.5, 0.25])
+    def test_a_pruned_middle_atom_is_compacted_away(self, omega):
+        # Agent 0's "b" falls below PRUNE_WEIGHT and its later atoms move left;
+        # agent 1 keeps every atom; agent 2 loses "b" and gains nothing.
+        small = 1.2 * PRUNE_WEIGHT
+        rows = [[(0.4, "a"), (small, "b"), (0.6 - small, "c")],
+                [(0.3, "a"), (0.3, "b"), (0.4, "c")],
+                [(0.4, "a"), (small, "b"), (0.6 - small, "c")]]
+        profile_a = MeasureProfile.from_atoms(*atom_arrays(rows))
+        profile_b = MeasureProfile.dirac(DecisionProfile(("d", "b", "c")))
+        mixed = mix(profile_a, profile_b, omega)
+        assert [m.decisions for m in mixed.measures] == [("a", "c", "d"), ("a", "b", "c"),
+                                                         ("a", "c")]
+        expected = reference_mix([reference_atoms(a) for a in rows],
+                                 [((1.0, d),) for d in ("d", "b", "c")], omega)
+        assert_matches(mixed, expected)
+
+    def test_from_atoms_prunes_a_middle_atom(self):
+        rows = [[(0.5, "a"), (0.5 * PRUNE_WEIGHT, "b"), (0.5 - 0.5 * PRUNE_WEIGHT, "c")]]
+        profile = MeasureProfile.from_atoms(*atom_arrays(rows))
+        assert profile[0].decisions == ("a", "c")
+        assert_matches(profile, [reference_atoms(rows[0])])
+
+    @PROPERTY
+    @given(wide_pairs(1), OMEGAS, st.integers(0, 2**32))
+    def test_one_agent(self, pair, omega, seed):
+        (profile_a, atoms_a), (profile_b, atoms_b) = pair
+        mixed = mix(profile_a, profile_b, omega)
+        expected = reference_mix(atoms_a, atoms_b, omega)
+        assert_matches(mixed, expected)
+        uniforms = np.random.default_rng(seed).random(1)
+        drawn = sample_profile(mixed, np.random.default_rng(seed)).decisions
+        assert drawn[0] is reference_sample(expected, uniforms)[0]
+
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(wide_pairs), OMEGAS)
+    def test_c_and_f_ordered_inputs_mix_alike(self, pair, omega):
+        (profile_a, _), (profile_b, _) = pair
+        mixed = [mix(in_order(profile_a, o), in_order(profile_b, o), omega) for o in "CF"]
+        assert_same_bits(*mixed)
+        assert mixed[0]._sampling_table()[0].tobytes() == mixed[1]._sampling_table()[0].tobytes()
+        tables = [in_order(mixed[0], o)._sampling_table()[0] for o in "CF"]
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+    @PROPERTY
+    @given(st.integers(1, 12).flatmap(
+        lambda s: st.lists(raw_measures(WIDE_TOKENS, s, s), min_size=1, max_size=6)
+    ))
+    def test_c_and_f_ordered_inputs_merge_alike(self, rows):
+        weights, tokens = atom_arrays(rows)
+        assert_same_bits(
+            MeasureProfile.from_atoms(np.ascontiguousarray(weights), np.ascontiguousarray(tokens)),
+            MeasureProfile.from_atoms(np.asfortranarray(weights), np.asfortranarray(tokens)),
+        )
+
+
 # Finite table entries of both signs, with -0.0 and 0.0 drawn often.
 ENTRIES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -221,6 +330,19 @@ class TestMeanAggregate:
         assert bits(profile.mean_aggregate(miqp_medium).values) == bits(
             loop_mean_aggregate(miqp_medium, profile)
         )
+
+    @PROPERTY
+    @given(table_cases(), OMEGAS, st.integers(0, 2**32))
+    def test_c_and_f_ordered_profiles_give_the_same_bits(self, case, omega, seed):
+        problem, profile_a, profile_b = case
+        for profile in (profile_a, mix(profile_a, profile_b, omega)):
+            c_order, f_order = in_order(profile, "C"), in_order(profile, "F")
+            assert bits(c_order.mean_aggregate(problem).values) == bits(
+                f_order.mean_aggregate(problem).values
+            )
+            picks = [select_best(problem, p, 4, np.random.default_rng(seed))
+                     for p in (c_order, f_order)]
+            assert picks[0][0] == picks[1][0] and picks[0][1].hex() == picks[1][1].hex()
 
     @PROPERTY
     @given(table_cases(), st.floats(0.0, 1.0))
