@@ -191,6 +191,8 @@ def fw_with_selection(
     returned).
     """
     n_select, seed = _count(n_select, "n_select"), _count(seed, "seed", 0)
+    if not 0 < zeta < 1:  # a NaN fails here too
+        raise ValueError(f"confidence level zeta must lie in (0, 1), got {zeta}")
     profile, records = fw_run(problem, n_iters, rule=rule, initial=initial)
     constants = compute_constants(problem)
     recommended = None

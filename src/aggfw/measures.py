@@ -29,35 +29,39 @@ def _combine(base, extra, agents):
     (weights, tokens, sizes): row i has ``sizes[i]`` distinct atoms, then zero weights.
     ``extra`` holds nonnegative (weights, tokens); an atom of weight 0 adds 0.0 or is pruned.
     This is the dict merge by token in atom order for all rows at once: the same float
-    operations in the same order, as the zero padding only adds 0.0."""
+    operations in the same order, as the zero padding only adds 0.0.  The work runs on
+    (S, N) transposes, one atom column over all agents at a time; (N, S) views return."""
     n = len(extra[0])
     if base is None:
         base = (np.zeros((n, 1)), np.empty((n, 1), dtype=object), np.zeros(n, dtype=np.intp))
     (base_weights, base_tokens, sizes), (extra_weights, extra_tokens) = base, extra
-    weights = np.hstack([base_weights, np.zeros_like(extra_weights)])
-    tokens = np.hstack([base_tokens, np.empty_like(extra_tokens)])
-    sizes, rows, columns = sizes.copy(), np.arange(n), np.arange(weights.shape[1])
-    for c in range(extra_weights.shape[1]):
-        same = (tokens == extra_tokens[:, c, None]) & (columns < sizes[:, None])
-        hit = same.any(axis=1)
-        at = np.where(hit, same.argmax(axis=1), sizes)
-        weights[rows, at] += extra_weights[:, c]
-        tokens[~hit, sizes[~hit]] = extra_tokens[~hit, c]
-        sizes += ~hit
-    total = np.cumsum(weights, axis=1)[:, -1]
+    depth, width = base_weights.shape[1], base_weights.shape[1] + extra_weights.shape[1]
+    weights, tokens = np.zeros((width, n)), np.empty((width, n), dtype=object)
+    weights[:depth], tokens[:depth] = base_weights.T, base_tokens.T
+    sizes, columns, slots = sizes.copy(), np.arange(n), np.arange(width)[:, None]
+    for c in range(extra_weights.shape[1]):  # no atom sits past slot depth + c yet
+        same = (tokens[: depth + c] == extra_tokens[:, c]) & (slots[: depth + c] < sizes)
+        hit = same.any(axis=0)
+        weights[np.where(hit, same.argmax(axis=0), sizes), columns] += extra_weights[:, c]
+        miss = np.flatnonzero(~hit)
+        tokens[sizes[miss], miss] = extra_tokens[miss, c]
+        sizes[miss] += 1
+    total = sequential_sum(weights)
     bad = ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN weight fails here too
     if bad.any():
         row = int(bad.argmax())
         raise ValueError(f"atom weights for agent {agents[row]} sum to {total[row]}, expected 1")
     keep = weights >= PRUNE_WEIGHT
-    sizes = keep.sum(axis=1)
-    if not sizes.all():
-        agent = agents[int(sizes.argmin())]
+    kept_sizes = keep.sum(axis=0)
+    if not kept_sizes.all():
+        agent = agents[int(kept_sizes.argmin())]
         raise ValueError(f"all atoms of agent {agent} fell below the prune threshold")
-    order = np.argsort(~keep, axis=1, kind="stable")[:, : sizes.max(initial=0)]  # kept first
-    kept = np.take_along_axis(np.where(keep, weights, 0.0), order, axis=1)
-    kept /= np.cumsum(kept, axis=1)[:, -1:]
-    return kept, np.take_along_axis(tokens, order, axis=1), sizes
+    if (kept_sizes == sizes).all():  # nothing pruned: each column's atoms already lead it
+        return (weights[: sizes.max(initial=0)] / total).T, tokens[: sizes.max(initial=0)].T, sizes
+    order = np.argsort(~keep, axis=0, kind="stable")[: kept_sizes.max()]  # kept first
+    kept = np.take_along_axis(np.where(keep, weights, 0.0), order, axis=0)
+    kept /= sequential_sum(kept)
+    return kept.T, np.take_along_axis(tokens, order, axis=0).T, kept_sizes
 
 
 class DiscreteMeasure:
@@ -120,15 +124,18 @@ class DiscreteMeasure:
 class MeasureProfile:
     """One finitely supported distribution per agent.  Row i of the (N, S) arrays
     ``weights`` and ``tokens`` holds agent i's ``sizes[i]`` atoms in order, then zero
-    weights; ``profile[i]`` builds agent i's ``DiscreteMeasure`` on demand."""
+    weights; ``profile[i]`` builds agent i's ``DiscreteMeasure`` on demand.  The arrays are
+    (N, S) views of (S, N) storage, so an atom slot is one contiguous row over the agents.
+    Weights are summed in atom order by ``sequential_sum``, the aggregates' row-order sum,
+    and the arrays are compacted only when an atom falls below ``PRUNE_WEIGHT``."""
 
     __slots__ = ("weights", "tokens", "sizes", "_table")
 
     def __init__(self, measures):
         measures = tuple(measures)
         self.sizes = np.array([m.support_size for m in measures], dtype=np.intp)
-        self.weights = np.zeros((len(measures), self.sizes.max(initial=0)))
-        self.tokens = np.empty(self.weights.shape, dtype=object)
+        self.weights = np.zeros((self.sizes.max(initial=0), len(measures))).T
+        self.tokens = np.empty_like(self.weights, dtype=object)  # keeps the (S, N) storage
         for i, measure in enumerate(measures):
             if measure.agent != i:
                 raise ValueError(f"measure at position {i} is owned by agent {measure.agent}")

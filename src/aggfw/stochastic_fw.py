@@ -280,8 +280,8 @@ def sfw_run(
     The step rule is the canonical one or its closed-loop variant; the
     closed-loop rule needs the dual gap before sampling, so it forces a
     full subproblem resolution and disables the active-set shortcut.
-    The same best responses serve the gap and the candidates, and a
-    rejected step's answers serve the next (the gradient stays put).
+    The same best responses serve the gap and the candidates; a rejected step's
+    answers (under a full solve, its whole linearization) serve the next.
     The convergence guarantees cover iteration counts up to 2N; longer
     runs are allowed but flagged.  A terminal sentinel record carries
     the final objective (its draw and active counts are zero).
@@ -295,9 +295,12 @@ def sfw_run(
     sizes = [_count(schedule.size(k, problem.n_agents), f"schedule size at iteration {k}")
              for k in range(n_iters)]
     work = _workspace(max(sizes, default=1), problem.n_agents, problem.total_dim)
+    last = [None, None]  # a profile and its full linearization; a rejected step returns its input
 
     def step(k, profile, rows, stream):
-        lin = _linearize(problem, profile, *rows, agents) if full_solve else None
+        if full_solve and last[0] is not profile:
+            last[:] = profile, _linearize(problem, profile, *rows, agents)
+        lin = last[1]  # None without a full solve
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         return sfw_step(
             problem, profile, k, omega, sizes[k], stream,

@@ -320,6 +320,14 @@ class TestFwWithSelection:
             fw_with_selection(counting, 200, n_select, seed)
         assert counting.grads == 0 and counting.calls == 0
 
+    @pytest.mark.parametrize("n_iters", [10, 11])  # N = 10: with and without a recommendation
+    @pytest.mark.parametrize("zeta", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_bad_zeta_fails_before_any_iteration(self, miqp_small, n_iters, zeta):
+        counting = CountingInstance(miqp_small)
+        with pytest.raises(ValueError, match="confidence level zeta must lie in"):
+            fw_with_selection(counting, n_iters, 5, 0, zeta=zeta)
+        assert counting.grads == 0 and counting.calls == 0
+
     def test_long_runs_warn_and_skip_recommendation(self, miqp_small):
         with pytest.warns(UserWarning, match="up to N"):
             result = fw_with_selection(miqp_small, 11, n_select=3, seed=0)

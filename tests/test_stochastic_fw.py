@@ -217,7 +217,7 @@ class TestSfwRun:
         # N solves per run of equal gradients: steps 1-7 are rejected, so two runs
         assert counting.calls == n * (runs[-1] + 1) == 20
         assert counting.calls <= 8 * n
-        assert counting.grads == 8  # one gradient per linearization
+        assert counting.grads == runs[-1] + 1 == 2  # one gradient per run of equal gradients
 
     def test_rejects_fw_line_search_rule(self, miqp_small):
         with pytest.raises(ValueError, match="rule"):
@@ -496,6 +496,26 @@ class TestHeldResponses:
             asked.setdefault(runs[n_grads - 1], []).extend(agents)
         assert all(len(agents) == len(set(agents)) for agents in asked.values())
         assert counting.calls <= counting.n_agents + sum(r.active_count for r in records)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1), st.booleans(),
+           st.integers(1, 5), st.integers(1, 10))
+    def test_full_solve_never_linearizes_one_profile_twice(self, name, seed, ls_sfw, n_draws,
+                                                          n_iters):
+        # A rejected step returns its input, whose linearization serves the next step.
+        problem, seen = INSTANCES[name](seed % 1000), []
+        counting = CountingInstance(problem)
+        rule = LineSearchSfwStep.from_constants(compute_constants(problem)) if ls_sfw else None
+
+        def linearize(instance, profile, *rest):
+            seen.append(profile)
+            return _linearize(instance, profile, *rest)
+
+        with mock.patch.object(stochastic_fw, "_linearize", linearize):
+            sfw_run(counting, n_iters, ConstantSchedule(n_draws), seed, rule=rule,
+                    use_active_set=False)
+        assert counting.grads == len(seen) <= n_iters
+        assert all(a is not b for a, b in zip(seen, seen[1:]))
 
 
 class TestCarriedRowsEquivalence:
