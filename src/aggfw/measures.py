@@ -29,8 +29,8 @@ def _combine(base, extra, agents):
     (weights, tokens, sizes): row i has ``sizes[i]`` distinct atoms, then zero weights.
     ``extra`` holds nonnegative (weights, tokens); an atom of weight 0 adds 0.0 or is pruned.
     This is the dict merge by token in atom order for all rows at once: the same float
-    operations in the same order, as the zero padding only adds 0.0.  The work runs on
-    (S, N) transposes, one atom column over all agents at a time; (N, S) views return."""
+    operations in the same order, as the zero padding only adds 0.0.  It runs on (S, N)
+    arrays, one atom slot over all agents at a time, and returns (N, S) views of them."""
     n = len(extra[0])
     if base is None:
         base = (np.zeros((n, 1)), np.empty((n, 1), dtype=object), np.zeros(n, dtype=np.intp))

@@ -202,9 +202,8 @@ def wide_pairs(n_agents):
 
 def in_order(profile, order):
     """The profile with its arrays copied to C or F memory order."""
-    return MeasureProfile._of(np.asarray(profile.weights, order=order).copy(order=order),
-                              np.asarray(profile.tokens, order=order).copy(order=order),
-                              profile.sizes.copy())
+    return MeasureProfile._of(profile.weights.copy(order=order),
+                              profile.tokens.copy(order=order), profile.sizes.copy())
 
 
 def assert_same_bits(got, want):
@@ -270,7 +269,6 @@ class TestWideSupports:
         (profile_a, _), (profile_b, _) = pair
         mixed = [mix(in_order(profile_a, o), in_order(profile_b, o), omega) for o in "CF"]
         assert_same_bits(*mixed)
-        assert mixed[0]._sampling_table()[0].tobytes() == mixed[1]._sampling_table()[0].tobytes()
         tables = [in_order(mixed[0], o)._sampling_table()[0] for o in "CF"]
         assert tables[0].tobytes() == tables[1].tobytes()
 
