@@ -518,6 +518,51 @@ class TestHeldResponses:
         assert all(a is not b for a, b in zip(seen, seen[1:]))
 
 
+PATHS = ["active-set", "full-solve", "ls-sfw", "stopping"]
+
+
+def _asks_by_iterate(problem, path, seed, n_draws, n_iters):
+    """Run ``path`` on a counting wrapper of ``problem`` with ``_linearize`` watched.
+
+    Returns the wrapper and one ``(iterate, agents asked)`` per ``_linearize`` call,
+    the agents being those its oracle calls asked, in order."""
+    counting, calls = CountingInstance(problem), []
+    linearize = stochastic_fw._linearize
+
+    def watched(instance, profile, *rest):
+        before = len(counting.asked)
+        lin = linearize(instance, profile, *rest)
+        calls.append((profile, [i for _, _, asked in counting.asked[before:] for i in asked]))
+        return lin
+
+    with mock.patch.object(stochastic_fw, "_linearize", watched):
+        if path == "stopping":
+            stopping_time_run(counting, n_iters, seed)
+        else:
+            rule = None
+            if path == "ls-sfw":
+                rule = LineSearchSfwStep.from_constants(compute_constants(problem))
+            sfw_run(counting, n_iters, ConstantSchedule(n_draws), seed, rule=rule,
+                    use_active_set=path == "active-set")
+    return counting, calls
+
+
+class TestOneSolvePerIterate:
+    """Each agent's best response is asked at most once per iterate object, on every path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.sampled_from(PATHS),
+           st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 10))
+    def test_no_agent_is_asked_twice_at_one_iterate(self, name, path, seed, n_draws, n_iters):
+        problem = INSTANCES[name](seed % 1000)
+        _, calls = _asks_by_iterate(problem, path, seed, n_draws, n_iters)
+        assert len(calls[0][1]) == problem.n_agents  # omega_0 = 1: every agent is solved
+        by_iterate = {}  # keyed by id: ``calls`` keeps every iterate alive
+        for profile, agents in calls:
+            by_iterate.setdefault(id(profile), []).extend(agents)
+        assert all(len(agents) == len(set(agents)) for agents in by_iterate.values())
+
+
 class TestCarriedRowsEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(
