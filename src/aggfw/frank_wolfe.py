@@ -92,19 +92,20 @@ class FwRecord:
     wall_ms: float
 
 
-def dual_gap_beta(
-    problem: ProblemInstance, y: Aggregate, ybar: Aggregate, tol: float = 1e-9, *, grad=None
-) -> float:
+_GAP_TOL = 1e-9  # a dual gap below minus this signals a broken oracle
+
+
+def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, grad=None) -> float:
     """Computable dual gap <grad f(y), y - ybar>.
 
     Nonnegative whenever ``ybar`` came from an exact best response at
-    ``y``; a value below ``-tol`` signals a broken oracle and raises.
+    ``y``; a value below ``-_GAP_TOL`` signals a broken oracle and raises.
     A caller holding ``grad f(y)`` passes it as ``grad``.
     """
     grad = problem.f_grad(y) if grad is None else grad
     value = grad.dot(y - ybar)
-    if value < -tol:
-        raise ValueError(f"dual gap {value:.3e} is negative beyond tolerance {tol:.1e}")
+    if value < -_GAP_TOL:
+        raise ValueError(f"dual gap {value:.3e} is negative beyond tolerance {_GAP_TOL:.1e}")
     return value
 
 
@@ -138,7 +139,7 @@ def fw_run(
     for k in range(n_iters + 1):
         start = time.perf_counter()
         grad = problem.f_grad(y)
-        xbar = held.responses(grad, agents)
+        xbar = np.fromiter(problem.best_response_all(grad), object, problem.n_agents)
         held.hold(agents, xbar)
         ybar = rows_aggregate(problem, held.rows)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)

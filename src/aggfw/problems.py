@@ -265,26 +265,14 @@ def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarr
 
 
 class _HeldRows:
-    """One held token per agent with its contribution row, and best responses to one gradient.
-    ``hold`` validates and rebuilds only the rows whose token differs under ``==``."""
+    """One held token per agent with its contribution row, and a stochastic run's ``last``
+    linearization.  ``hold`` validates and rebuilds only the rows whose token differs."""
 
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         self.tokens = np.full(problem.n_agents, np.nan, dtype=object)  # NaN equals no token
         self.rows = np.empty((problem.n_agents, problem.total_dim))
-        self.answers = np.empty(problem.n_agents, dtype=object)
-        self.grad_bits, self.answered = None, np.zeros(problem.n_agents, dtype=bool)
-
-    def responses(self, grad: Aggregate, agents: np.ndarray) -> np.ndarray:
-        """Best responses of ``agents`` (an integer array) to ``grad``; asks only the unanswered."""
-        bits = grad.values.tobytes()  # exact: +0.0 and -0.0 are different gradients
-        if bits != self.grad_bits:
-            self.grad_bits, self.answered[:] = bits, False
-        unknown = agents[~self.answered[agents]]
-        if unknown.size:
-            answers = self.problem.best_response_all(grad, unknown)
-            self.answers[unknown], self.answered[unknown] = np.fromiter(answers, object), True
-        return self.answers[agents]
+        self.last = None
 
     def hold(self, agents: np.ndarray, tokens: np.ndarray) -> None:
         """Hold ``tokens[r]`` (an object array) for agent ``agents[r]``."""

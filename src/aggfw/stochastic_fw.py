@@ -119,24 +119,28 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
 
 @dataclass(frozen=True)
 class _Linearization:
-    """The objective linearized at a profile, with the solved agents' moves.
+    """The objective linearized at ``profile``, with the solved agents' moves.
 
-    ``tokens`` and ``responses`` hold the profile's tokens and rows with each
-    solved agent at its best response, and ``delta`` the rows' difference.
-    ``ybar`` and both gaps need every agent's best response; otherwise they
-    are None and NaN.  ``beta`` takes ybar = y + mean(delta), ``beta_rows``
-    the mean of the best-response rows: the two differ in the last bits, and
-    the recorded trajectories pin the first in the records and the second in
-    the closed-loop step sizes.
+    ``tokens`` and ``responses`` hold the profile's tokens and rows with each agent
+    marked ``solved`` at its best response to ``grad``, ``moved`` those whose response
+    differs under ``==``, and ``delta`` the rows' difference.  ``ybar`` and both gaps
+    need every agent's best response; otherwise they are None and NaN.  ``beta`` takes
+    ybar = y + mean(delta), ``beta_rows`` the mean of the best-response rows: the two
+    differ in the last bits, and the recorded trajectories pin the first in the records
+    and the second in the closed-loop step sizes.
     """
 
+    profile: DecisionProfile
     y: Aggregate
+    grad: Aggregate
     tokens: np.ndarray
     responses: np.ndarray
     delta: np.ndarray
-    ybar: Aggregate | None
-    beta: float
-    beta_rows: float
+    solved: np.ndarray
+    moved: np.ndarray
+    ybar: Aggregate | None = None
+    beta: float = math.nan
+    beta_rows: float = math.nan
 
 
 def _workspace(n_max: int, n_agents: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,25 +150,34 @@ def _workspace(n_max: int, n_agents: int, dim: int) -> tuple[np.ndarray, np.ndar
 
 def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linearization:
     """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents`` via ``held``.
-    A response row is the agent's own row if its token is unchanged, else the one held."""
-    n, dims = problem.n_agents, problem.block_dims
-    y = rows_aggregate(problem, rows)
-    grad = problem.f_grad(y)
-    solved = np.fromiter(agents, dtype=np.intp)
-    best = held.responses(grad, solved)
-    tokens = np.fromiter(profile.decisions, dtype=object)
-    moved = solved[~(tokens[solved] == best)]
-    tokens[solved] = best
-    held.hold(moved, tokens[moved])
-    responses = rows.copy()
-    responses[moved] = held.rows[moved]
-    delta = responses - rows
-    if solved.size < n:
-        return _Linearization(y, tokens, responses, delta, None, float("nan"), float("nan"))
-    ybar = Aggregate(y.values + sequential_sum(delta) / n, dims)
-    beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
-    beta = dual_gap_beta(problem, y, ybar, grad=grad)
-    return _Linearization(y, tokens, responses, delta, ybar, beta, beta_rows)
+
+    ``held.last`` keeps the linearization as long as its iterate: asked again about the
+    same profile object, this solves only the agents not solved there yet.  A response row
+    is the agent's own row if its token is unchanged, else the one held.  The gaps belong
+    to a request for every agent; a partial request gets them as None and NaN."""
+    n, agents, lin = problem.n_agents, np.asarray(agents, dtype=np.intp), held.last
+    if lin is None or lin.profile is not profile:
+        y, tokens = rows_aggregate(problem, rows), np.fromiter(profile.decisions, object, n)
+        lin = held.last = _Linearization(profile, y, problem.f_grad(y), tokens, rows.copy(),
+                                         np.zeros(rows.shape), np.zeros(n, bool), np.zeros(n, bool))
+    new = agents[~lin.solved[agents]]
+    if new.size:
+        best = np.fromiter(problem.best_response_all(lin.grad, new), object, new.size)
+        moved = new[~(lin.tokens[new] == best)]
+        lin.tokens[new], lin.solved[new], lin.moved[moved] = best, True, True
+        held.hold(moved, lin.tokens[moved])
+        lin.responses[moved] = held.rows[moved]
+        lin.delta[moved] = lin.responses[moved] - rows[moved]
+    if agents.size < n or not np.bincount(agents, minlength=n).all():  # not every agent asked
+        return lin if lin.ybar is None else dataclasses.replace(
+            lin, ybar=None, beta=math.nan, beta_rows=math.nan)
+    y, grad = lin.y, lin.grad
+    if lin.ybar is None:
+        ybar = Aggregate(y.values + sequential_sum(lin.delta) / n, problem.block_dims)
+        beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, lin.responses), grad=grad)
+        beta = dual_gap_beta(problem, y, ybar, grad=grad)
+        lin = held.last = dataclasses.replace(lin, ybar=ybar, beta=beta, beta_rows=beta_rows)
+    return lin
 
 
 def sfw_step(
@@ -186,10 +199,10 @@ def sfw_step(
     at ``profile``; the trajectory is identical either way.  With
     ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
-    otherwise the best candidate is taken unconditionally.  A caller holding
-    ``profile_rows(problem, profile)``, the ``_HeldRows`` of the agents' earlier best
-    responses and a ``_workspace`` of ``n_draws`` rows or more passes them as ``rows``;
-    the step then reads and updates them instead of building them for this call.
+    otherwise the best candidate is taken unconditionally; a candidate that changes no
+    token returns ``profile`` itself.  A caller holding ``profile_rows(problem, profile)``,
+    its run's ``_HeldRows`` and a ``_workspace`` of ``n_draws`` rows or more passes them as
+    ``rows``; the step then reads and updates them instead of building them for this call.
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
@@ -217,13 +230,15 @@ def sfw_step(
     next_profile = profile
     if not keep_if_worse or candidate_values[best] < value:
         next_profile = _apply_switches(profile, switches[best], lin, rows)
-    accepted = next_profile != profile
-    record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size, accepted,
-                       (time.perf_counter() - start) * 1e3)
+    record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size,
+                       next_profile is not profile, (time.perf_counter() - start) * 1e3)
     return next_profile, record
 
 
 def _apply_switches(profile, switches, lin: _Linearization, rows) -> DecisionProfile:
+    """``profile`` with the switched agents at their best responses; itself if none moves."""
+    if not (switches & lin.moved).any():
+        return profile
     rows[switches] = lin.responses[switches]
     return DecisionProfile(np.where(switches, lin.tokens, np.fromiter(profile.decisions, object)))
 
@@ -280,8 +295,8 @@ def sfw_run(
     The step rule is the canonical one or its closed-loop variant; the
     closed-loop rule needs the dual gap before sampling, so it forces a
     full subproblem resolution and disables the active-set shortcut.
-    The same best responses serve the gap and the candidates; a rejected step's
-    answers (under a full solve, its whole linearization) serve the next.
+    The same best responses serve the gap and the candidates, and a step that keeps
+    the iterate (rejected, or changing no token) leaves its linearization to the next.
     The convergence guarantees cover iteration counts up to 2N; longer
     runs are allowed but flagged.  A terminal sentinel record carries
     the final objective (its draw and active counts are zero).
@@ -290,17 +305,14 @@ def sfw_run(
     if not isinstance(rule, (CanonicalStep, LineSearchSfwStep)):
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
-    agents, full_solve = range(problem.n_agents), closed_loop or not use_active_set
+    agents, full_solve = np.arange(problem.n_agents), closed_loop or not use_active_set
     n_iters = _count(n_iters, "n_iters")
     sizes = [_count(schedule.size(k, problem.n_agents), f"schedule size at iteration {k}")
              for k in range(n_iters)]
     work = _workspace(max(sizes, default=1), problem.n_agents, problem.total_dim)
-    last = [None, None]  # a profile and its full linearization; a rejected step returns its input
 
     def step(k, profile, rows, stream):
-        if full_solve and last[0] is not profile:
-            last[:] = profile, _linearize(problem, profile, *rows, agents)
-        lin = last[1]  # None without a full solve
+        lin = _linearize(problem, profile, *rows, agents) if full_solve else None
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         return sfw_step(
             problem, profile, k, omega, sizes[k], stream,
@@ -360,9 +372,8 @@ def stopping_time_step(
     max_draws = _count(max_draws, "max_draws")
     n, dims = problem.n_agents, problem.block_dims
     rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
-    lin = _linearize(problem, profile, rows, held, range(n))
-    y_values = lin.y.values
-    mixed = (1.0 - omega) * y_values + omega * lin.ybar.values
+    lin = _linearize(problem, profile, rows, held, np.arange(n))
+    mixed = (1.0 - omega) * lin.y.values + omega * lin.ybar.values
     threshold = problem.f_value(Aggregate(mixed, dims)) + (
         constants.c1 / 2.0 + constants.c0
     ) * omega**2
@@ -372,7 +383,7 @@ def stopping_time_step(
     for j in range(max_draws):
         switches = rng.random(n) < omega
         value = problem.f_value(
-            Aggregate(y_values + (switches.astype(float) @ lin.delta) / n, dims)
+            Aggregate(lin.y.values + (switches.astype(float) @ lin.delta) / n, dims)
         )
         _check_finite(value, k)
         if value <= threshold:

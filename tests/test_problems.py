@@ -21,6 +21,8 @@ from aggfw.problems import (
     zero_gradient_profile,
 )
 
+from aggfw.stochastic_fw import _linearize
+
 from conftest import INSTANCES, CountingInstance, TableInstance
 
 
@@ -238,17 +240,6 @@ class TestBestResponseAll:
             )
 
 
-class SignOfZero(TableInstance):
-    """Three agents choosing 0 or 1 by the sign of the gradient's first entry, read with
-    ``math.copysign`` so that -0.0 and 0.0 get different answers."""
-
-    def __init__(self):
-        super().__init__([[[0.0, 0.0], [1.0, 0.0]]] * 3, target=[0.0, 0.0])
-
-    def best_response(self, i, grad):
-        return int(math.copysign(1.0, grad.values[0]) < 0.0)
-
-
 class FailsForTwo(TableInstance):
     """A table instance whose oracle raises for agent 2."""
 
@@ -261,67 +252,69 @@ class FailsForTwo(TableInstance):
         return super().best_response(i, grad)
 
 
-def flip_last_bit(values):
-    bits = values.view(np.int64).copy()
-    bits[-1] ^= 1
-    return bits.view(float)
-
-
 class TestHeldResponses:
-    """``_HeldRows.responses`` asks the oracle, in the order given, only for the agents
-    it has not answered since the gradient's bits last changed."""
+    """``_linearize`` keeps an iterate's linearization in the run's ``_HeldRows`` and asks
+    the oracle, in the order given, only for the agents not yet solved at that iterate
+    object."""
 
-    def held(self, problem):
+    def linearize(self, problem, profile):
+        """A counting wrapper of ``problem`` and ``_linearize`` on one held run state."""
         counting = CountingInstance(problem)
-        return counting, _HeldRows(counting)
+        rows, held = profile_rows(problem, profile), _HeldRows(counting)
+        return counting, lambda x, agents: _linearize(counting, x, rows, held, agents)
 
-    def test_the_same_gradient_bits_make_no_new_call(self, miqp_small):
-        counting, held = self.held(miqp_small)
-        values, agents = np.linspace(-1, 1, miqp_small.total_dim), np.arange(10)
-        first = held.responses(Aggregate(values, miqp_small.block_dims), agents)
-        again = held.responses(Aggregate(values.copy(), miqp_small.block_dims), agents[::-1])
-        assert len(counting.asked) == 1 and counting.calls == 10
-        assert list(again) == list(first[::-1]) == miqp_small.best_response_all(
-            Aggregate(values, miqp_small.block_dims), agents[::-1]
-        )
+    def test_the_same_iterate_makes_no_new_call(self, miqp_small):
+        profile = DecisionProfile((0, 1) * 5)
+        counting, linearize = self.linearize(miqp_small, profile)
+        first = linearize(profile, range(10))
+        again = linearize(profile, np.arange(10)[::-1])
+        assert again is first  # the held linearization, gaps and all
+        assert len(counting.asked) == 1 and counting.calls == 10 and counting.grads == 1
+        assert list(first.tokens) == miqp_small.best_response_all(first.grad)
 
-    def test_one_changed_bit_asks_every_requested_agent_again(self, miqp_small):
-        counting, held = self.held(miqp_small)
-        values, dims = np.linspace(-1, 1, miqp_small.total_dim), miqp_small.block_dims
-        held.responses(Aggregate(values, dims), np.arange(10))
-        flipped = Aggregate(flip_last_bit(values), dims)
-        got = held.responses(flipped, np.array([7, 2, 5]))
-        assert counting.asked[-1] == (0, flipped.values.tobytes(), [7, 2, 5])
-        assert list(got) == miqp_small.best_response_all(flipped, [7, 2, 5])
+    def test_a_new_equal_iterate_asks_again(self, miqp_small):
+        profile = DecisionProfile((0, 1) * 5)
+        counting, linearize = self.linearize(miqp_small, profile)
+        first = linearize(profile, range(10))
+        got = linearize(DecisionProfile(profile.decisions), np.array([7, 2, 5]))
+        assert got.grad.values.tobytes() == first.grad.values.tobytes()
+        assert counting.grads == 2
+        assert counting.asked[-1] == (2, got.grad.values.tobytes(), [7, 2, 5])
+        assert list(got.tokens[[7, 2, 5]]) == miqp_small.best_response_all(got.grad, [7, 2, 5])
 
-    def test_signed_zeros_are_different_gradients(self):
-        counting, held = self.held(SignOfZero())
-        agents = np.arange(3)
-        plus = held.responses(Aggregate([0.0, 1.0], (1, 1)), agents)
-        minus = held.responses(Aggregate([-0.0, 1.0], (1, 1)), agents)
-        assert list(plus) == [0, 0, 0] and list(minus) == [1, 1, 1]
-        assert [asked for _, _, asked in counting.asked] == [[0, 1, 2], [0, 1, 2]]
+    def test_a_partial_request_gets_no_gap(self, miqp_small):
+        # The gaps belong to the request for every agent, also once an earlier one made them.
+        profile = DecisionProfile((0, 1) * 5)
+        counting, linearize = self.linearize(miqp_small, profile)
+        full = linearize(profile, range(10))
+        part = linearize(profile, np.array([3, 1]))
+        assert part.ybar is None and math.isnan(part.beta) and math.isnan(part.beta_rows)
+        assert full.beta >= 0.0 and linearize(profile, range(10)) is full
+        assert len(counting.asked) == 1
 
     def test_unsorted_repeated_and_empty_agent_lists(self, table_instance):
-        counting, held = self.held(table_instance)
-        grad = Aggregate([0.4, -1.3], table_instance.block_dims)
+        profile = DecisionProfile((0, 0, 0, 0))
+        counting, linearize = self.linearize(table_instance, profile)
+        grad = table_instance.f_grad(aggregate_of(table_instance, profile))
         expected = [table_instance.best_response(i, grad) for i in range(4)]
-        assert list(held.responses(grad, np.array([3, 1, 3, 0]))) == [
+        lin = linearize(profile, np.array([3, 1, 3, 0]))
+        assert list(lin.tokens[[3, 1, 3, 0]]) == [
             expected[3], expected[1], expected[3], expected[0]
         ]
-        assert list(held.responses(grad, np.array([], dtype=np.intp))) == []
-        assert list(held.responses(grad, np.array([2, 1, 2]))) == [
-            expected[2], expected[1], expected[2]
-        ]
-        # each unanswered entry is asked in order; the solvers ask no agent twice
+        assert lin.ybar is None and math.isnan(lin.beta)  # four entries, but agent 2 unasked
+        assert list(linearize(profile, np.array([], dtype=np.intp)).solved) == [1, 1, 0, 1]
+        lin = linearize(profile, np.array([2, 1, 2]))
+        assert list(lin.tokens) == expected and lin.solved.all() and lin.ybar is None
+        assert linearize(profile, range(4)).beta >= 0.0
+        # each unsolved entry is asked in order; the solvers ask no agent twice
         assert [asked for _, _, asked in counting.asked] == [[3, 1, 3, 0], [2, 2]]
 
     def test_an_oracle_failure_names_the_agent(self):
-        counting, held = self.held(FailsForTwo())
-        grad = Aggregate([-1.0], (1,))
-        assert list(held.responses(grad, np.array([0, 1]))) == [1, 1]
+        problem, profile = FailsForTwo(), DecisionProfile((0, 0, 0, 0))
+        counting, linearize = self.linearize(problem, profile)
+        assert list(linearize(profile, np.array([0, 1])).tokens[:2]) == [1, 1]
         with pytest.raises(RuntimeError, match="best response of agent 2 failed: no answer"):
-            held.responses(grad, np.array([3, 2, 0]))
+            linearize(profile, np.array([3, 2, 0]))
         assert [asked for _, _, asked in counting.asked] == [[0, 1], [3, 2]]
 
 

@@ -26,7 +26,7 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-from conftest import INSTANCES, CountingInstance, TableInstance, cycling_tables, gradient_runs
+from conftest import INSTANCES, CountingInstance, TableInstance, gradient_runs
 
 
 class NanAwayFrom(TableInstance):
@@ -396,17 +396,18 @@ class TestCarriedRows:
         n = miqp_small.n_agents
         assert counting.rows == n + 37  # 7 * N = 70 rows before they were held
 
-    def test_held_rows_serve_repeated_best_responses(self, monkeypatch):
-        # On the cycling tables an agent's best response often returns to the
-        # one it had while the iterate kept its token: that row is held.
-        offered = []
-        hold = _HeldRows.hold
-        monkeypatch.setattr(_HeldRows, "hold", lambda self, agents, tokens: (
-            offered.append(len(agents)), hold(self, agents, tokens))[1])
-        counting = CountingInstance(cycling_tables(3))
-        sfw_run(counting, 10, ConstantSchedule(3), seed=3)
-        built = counting.rows - counting.n_agents
-        assert sum(offered) > built > 0
+    def test_held_rows_serve_a_returning_best_response(self, miqp_small):
+        # After one agent switches, the other nine best responses are again the tokens
+        # held for them at the first iterate: their rows are served, not rebuilt.
+        counting = CountingInstance(miqp_small)
+        start = zero_gradient_profile(miqp_small)
+        rows, held = profile_rows(miqp_small, start), _HeldRows(counting)
+        first = _linearize(counting, start, rows, held, range(10))
+        nxt = stochastic_fw._apply_switches(start, np.arange(10) == 0, first, rows)
+        built = counting.rows
+        second = _linearize(counting, nxt, rows, held, range(10))
+        returning = second.moved & first.moved & (second.tokens == first.tokens)
+        assert nxt is not start and returning.sum() == 9 and counting.rows == built == 10
 
     @pytest.mark.parametrize("run", ["sfw", "stopping"])
     def test_invalid_best_response_is_rejected_when_switched_in(self, run):
@@ -478,8 +479,9 @@ def _reference_stopping(problem, n_iters, seed):
 
 
 class TestHeldResponses:
-    """The run loops keep the best responses to the last gradient: a rejected step
-    leaves the gradient's bits as they were, and its answers serve the next step."""
+    """The run loops keep an iterate's best responses while it stays put.  On these
+    instances consecutive iterates have different gradients, so each agent is asked at
+    most once per run of equal gradients."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1), st.booleans(),
@@ -496,26 +498,6 @@ class TestHeldResponses:
             asked.setdefault(runs[n_grads - 1], []).extend(agents)
         assert all(len(agents) == len(set(agents)) for agents in asked.values())
         assert counting.calls <= counting.n_agents + sum(r.active_count for r in records)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 2**32 - 1), st.booleans(),
-           st.integers(1, 5), st.integers(1, 10))
-    def test_full_solve_never_linearizes_one_profile_twice(self, name, seed, ls_sfw, n_draws,
-                                                          n_iters):
-        # A rejected step returns its input, whose linearization serves the next step.
-        problem, seen = INSTANCES[name](seed % 1000), []
-        counting = CountingInstance(problem)
-        rule = LineSearchSfwStep.from_constants(compute_constants(problem)) if ls_sfw else None
-
-        def linearize(instance, profile, *rest):
-            seen.append(profile)
-            return _linearize(instance, profile, *rest)
-
-        with mock.patch.object(stochastic_fw, "_linearize", linearize):
-            sfw_run(counting, n_iters, ConstantSchedule(n_draws), seed, rule=rule,
-                    use_active_set=False)
-        assert counting.grads == len(seen) <= n_iters
-        assert all(a is not b for a, b in zip(seen, seen[1:]))
 
 
 PATHS = ["active-set", "full-solve", "ls-sfw", "stopping"]
@@ -561,6 +543,65 @@ class TestOneSolvePerIterate:
         for profile, agents in calls:
             by_iterate.setdefault(id(profile), []).extend(agents)
         assert all(len(agents) == len(set(agents)) for agents in by_iterate.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.sampled_from(PATHS),
+           st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 10))
+    def test_one_gradient_per_iterate(self, name, path, seed, n_draws, n_iters):
+        # A step that keeps its iterate (rejected, or changing no token) leaves the
+        # linearization to the next step.
+        counting, calls = _asks_by_iterate(INSTANCES[name](seed % 1000), path, seed, n_draws,
+                                           n_iters)
+        assert counting.grads == len({id(profile) for profile, _ in calls}) <= n_iters
+
+
+class FixedPoint(aggfw.MiqpInstance):
+    """All-ones is the best response at every aggregate below the large target."""
+
+    def __init__(self):
+        super().__init__(np.array([[1.0, 0.8, 0.6, 0.4]]), np.array([10.0]))
+
+
+class TestNoChangeStep:
+    """A step whose candidate changes no token returns its input profile object."""
+
+    def test_sfw_run_keeps_the_iterate_object(self, monkeypatch):
+        # Steps 5 and 6 take a candidate that f_value_batch scores below f_value(y) by
+        # rounding alone, although its point is y bit for bit.
+        problem, at, taken = aggfw.generate(3, 8, seed=785), [None], []
+        step, apply = stochastic_fw.sfw_step, stochastic_fw._apply_switches
+
+        def watched_step(problem, profile, k, *rest, **kwargs):
+            at[0] = k
+            return step(problem, profile, k, *rest, **kwargs)
+
+        def watched_apply(profile, *rest):
+            nxt = apply(profile, *rest)
+            taken.append((at[0], profile, nxt))
+            return nxt
+
+        monkeypatch.setattr(stochastic_fw, "sfw_step", watched_step)
+        monkeypatch.setattr(stochastic_fw, "_apply_switches", watched_apply)
+        _, records = sfw_run(problem, 7, ConstantSchedule(3), 603785, use_active_set=False)
+        kept = {k for k, profile, nxt in taken if nxt is profile}
+        assert kept == {5, 6} and not records[5].accepted and not records[6].accepted
+
+    def test_sfw_step_from_a_fixed_point(self):
+        problem, profile = FixedPoint(), DecisionProfile((1, 1, 1, 1))
+        nxt, record = sfw_step(problem, profile, 0, 1.0, 3, _rng.stream(0), keep_if_worse=False)
+        assert nxt is profile and not record.accepted and record.active_count == 4
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_stopping_time_step_when_no_moved_agent_switches(self, omega):
+        # omega = 0 switches no agent; omega = 1 switches all four, none of which moves.
+        problem, profile = FixedPoint(), DecisionProfile((1, 1, 1, 1))
+        result = stopping_time_step(problem, profile, 0, omega, _rng.stream(0))
+        assert result.decisions is profile and result.accepted and result.n_draws == 1
+
+    def test_stopping_time_step_still_moves(self):
+        problem, profile = FixedPoint(), DecisionProfile((0, 1, 1, 1))
+        result = stopping_time_step(problem, profile, 0, 1.0, _rng.stream(0))
+        assert result.decisions == DecisionProfile((1, 1, 1, 1))
 
 
 class TestCarriedRowsEquivalence:
@@ -669,8 +710,9 @@ class TestCandidateWorkspace:
         y[gen.random(q) < 0.2] = -0.0
         profile = DecisionProfile((0,) * n)
         lin = stochastic_fw._Linearization(
-            Aggregate(y, problem.block_dims), np.ones(n, dtype=object), np.zeros((n, q)),
-            delta, None, math.nan, math.nan,
+            profile, Aggregate(y, problem.block_dims), None, tokens=np.ones(n, dtype=object),
+            responses=np.zeros((n, q)), delta=delta, solved=np.ones(n, dtype=bool),
+            moved=np.ones(n, dtype=bool),
         )
         rows = None
         if run_state:  # a larger, dirty workspace: only its leading rows may be read
