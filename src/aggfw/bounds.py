@@ -73,25 +73,40 @@ def gap_bound_refined(constants: ProblemConstants) -> float:
     return constants.d_of_k(min(constants.total_dim, n)) / (2 * n**2)
 
 
-def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
-    """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
+def _tail_count(n_agents, epsilon: float, c0: float) -> int:
+    """``n_agents`` as a count, once ``epsilon`` and ``c0`` are nonnegative, ``c0`` finite."""
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if c0 == 0:
+    if not 0 <= c0 < math.inf:
+        raise ValueError(f"c0 must be finite and nonnegative, got {c0}")
+    return _count(n_agents, "n_agents")
+
+
+def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
+    """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
+    n_agents = _tail_count(n_agents, epsilon, c0)
+    if c0 == 0 or epsilon == math.inf:
         return 1.0 if epsilon == 0 else 0.0
     return float(np.exp(-2.0 * n_agents * epsilon**2 / c0**2))
 
 
-def mcdiarmid_variance_tail(n_agents: int, epsilon: float, sum_vi2: float, c0: float) -> float:
-    """Variance-flavored tail bound exp(-N eps^2 / (2 (N sum_i v_i^2 + C0 eps / 3)))."""
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+def _bernstein_tail(n_agents, epsilon: float, c0: float, constants) -> float:
+    """exp(-N eps^2 / (2 (v + eps m / 3))), with (v, m) = ``constants(N)`` once N is a count."""
+    n_agents = _tail_count(n_agents, epsilon, c0)
+    v, m = constants(n_agents)
+    if not v >= 0:
+        raise ValueError(f"variance term must be nonnegative, got {v}")
     if epsilon == 0:
         return 1.0
-    denom = 2.0 * (n_agents * sum_vi2 + c0 * epsilon / 3.0)
-    if denom == 0:
+    denom = 2.0 * (v + epsilon * m / 3.0)
+    if denom == 0 or epsilon == math.inf:
         return 0.0
     return float(np.exp(-n_agents * epsilon**2 / denom))
+
+
+def mcdiarmid_variance_tail(n_agents: int, epsilon: float, sum_vi2: float, c0: float) -> float:
+    """Variance-flavored tail bound exp(-N eps^2 / (2 (N sum_i v_i^2 + C0 eps / 3)))."""
+    return _bernstein_tail(n_agents, epsilon, c0, lambda n: (n * sum_vi2, c0))
 
 
 def variance_proxy(problem: ProblemInstance, measure: DiscreteMeasure) -> float:
@@ -120,15 +135,8 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
 
 def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -> float:
     """Probability bound on gamma_K exceeding 4 C1 / K by epsilon."""
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon == 0:
-        return 1.0
-    v, m = sfw_tail_constants(n_iters, c0, schedule, n_agents)
-    denom = 2.0 * (v + epsilon * m / 3.0)
-    if denom == 0:
-        return 0.0
-    return float(np.exp(-(epsilon**2) * n_agents / denom))
+    return _bernstein_tail(n_agents, epsilon, c0,
+                           lambda n: sfw_tail_constants(n_iters, c0, schedule, n))
 
 
 def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1: float) -> int:

@@ -74,7 +74,7 @@ def write_csv(path: str, rows: list[dict], columns: tuple[str, ...] = CSV_COLUMN
 
 
 def _rows(records) -> list[dict]:
-    """CSV rows of FW or SFW records.
+    """CSV rows of FW or SFW records, keyed by ``CSV_COLUMNS``.
 
     The draw columns stay empty for FW records, which have no draws, and
     for the SFW terminal record, the only one with zero draws.
@@ -82,17 +82,9 @@ def _rows(records) -> list[dict]:
     rows = []
     for rec in records:
         n_draws = getattr(rec, "n_draws", 0)
-        rows.append(
-            {
-                "k": rec.k,
-                "value": rec.objective,
-                "beta": rec.beta,
-                "omega": rec.omega,
-                "n_k": n_draws or None,
-                "active_count": rec.active_count if n_draws else None,
-                "wall_ms": rec.wall_ms,
-            }
-        )
+        values = (rec.k, rec.objective, rec.beta, rec.omega, n_draws or None,
+                  rec.active_count if n_draws else None, rec.wall_ms)
+        rows.append(dict(zip(CSV_COLUMNS, values, strict=True)))
     return rows
 
 

@@ -57,10 +57,6 @@ class Aggregate:
         self.values = values
         self.block_dims = block_dims
 
-    def block(self, j: int) -> np.ndarray:
-        start = sum(self.block_dims[:j])
-        return self.values[start : start + self.block_dims[j]]
-
     def block_sqnorms(self) -> np.ndarray:
         """Per-block squared Euclidean norms, as a length-M vector."""
         starts = np.concatenate(([0], np.cumsum(self.block_dims)[:-1]))
@@ -105,11 +101,6 @@ class DecisionProfile:
 
     def __getitem__(self, i: int) -> Decision:
         return self.decisions[i]
-
-    def replace(self, i: int, decision: Decision) -> "DecisionProfile":
-        items = list(self.decisions)
-        items[i] = decision
-        return DecisionProfile(tuple(items))
 
 
 class ProblemInstance(ABC):

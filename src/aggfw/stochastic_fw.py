@@ -121,11 +121,12 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
 class _Linearization:
     """The objective linearized at ``profile``, with the solved agents' moves.
 
-    ``tokens`` and ``responses`` hold the profile's tokens and rows with each agent
-    marked ``solved`` at its best response to ``grad``, ``moved`` those whose response
-    differs under ``==``, and ``delta`` the rows' difference.  ``ybar`` and both gaps
-    need every agent's best response; otherwise they are None and NaN.  ``beta`` takes
-    ybar = y + mean(delta), ``beta_rows`` the mean of the best-response rows: the two
+    ``tokens`` holds the profile's tokens with each agent marked ``solved`` at its best
+    response to ``grad``, ``moved`` those whose response differs under ``==``, and ``delta``
+    the moved agents' response rows, which the ``_HeldRows`` it was built in holds, less
+    their own: the linearization serves only with that ``_HeldRows``.  ``ybar`` and both
+    gaps need every agent's best response; otherwise they are None and NaN.  ``beta``
+    takes ybar = y + mean(delta), ``beta_rows`` the mean of the best-response rows: the two
     differ in the last bits, and the recorded trajectories pin the first in the records
     and the second in the closed-loop step sizes.
     """
@@ -134,7 +135,6 @@ class _Linearization:
     y: Aggregate
     grad: Aggregate
     tokens: np.ndarray
-    responses: np.ndarray
     delta: np.ndarray
     solved: np.ndarray
     moved: np.ndarray
@@ -158,7 +158,7 @@ def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linear
     n, agents, lin = problem.n_agents, np.asarray(agents, dtype=np.intp), held.last
     if lin is None or lin.profile is not profile:
         y, tokens = rows_aggregate(problem, rows), np.fromiter(profile.decisions, object, n)
-        lin = held.last = _Linearization(profile, y, problem.f_grad(y), tokens, rows.copy(),
+        lin = held.last = _Linearization(profile, y, problem.f_grad(y), tokens,
                                          np.zeros(rows.shape), np.zeros(n, bool), np.zeros(n, bool))
     new = agents[~lin.solved[agents]]
     if new.size:
@@ -166,15 +166,15 @@ def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linear
         moved = new[~(lin.tokens[new] == best)]
         lin.tokens[new], lin.solved[new], lin.moved[moved] = best, True, True
         held.hold(moved, lin.tokens[moved])
-        lin.responses[moved] = held.rows[moved]
-        lin.delta[moved] = lin.responses[moved] - rows[moved]
+        lin.delta[moved] = held.rows[moved] - rows[moved]
     if agents.size < n or not np.bincount(agents, minlength=n).all():  # not every agent asked
         return lin if lin.ybar is None else dataclasses.replace(
             lin, ybar=None, beta=math.nan, beta_rows=math.nan)
     y, grad = lin.y, lin.grad
     if lin.ybar is None:
         ybar = Aggregate(y.values + sequential_sum(lin.delta) / n, problem.block_dims)
-        beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, lin.responses), grad=grad)
+        responses = np.where(lin.moved[:, None], held.rows, rows)
+        beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)
         lin = held.last = dataclasses.replace(lin, ybar=ybar, beta=beta, beta_rows=beta_rows)
     return lin
@@ -203,6 +203,7 @@ def sfw_step(
     token returns ``profile`` itself.  A caller holding ``profile_rows(problem, profile)``,
     its run's ``_HeldRows`` and a ``_workspace`` of ``n_draws`` rows or more passes them as
     ``rows``; the step then reads and updates them instead of building them for this call.
+    A ``linearization`` must come in ``rows`` with the ``_HeldRows`` it was built in.
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
@@ -229,17 +230,17 @@ def sfw_step(
 
     next_profile = profile
     if not keep_if_worse or candidate_values[best] < value:
-        next_profile = _apply_switches(profile, switches[best], lin, rows)
+        next_profile = _apply_switches(profile, switches[best], lin, held, rows)
     record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size,
                        next_profile is not profile, (time.perf_counter() - start) * 1e3)
     return next_profile, record
 
 
-def _apply_switches(profile, switches, lin: _Linearization, rows) -> DecisionProfile:
+def _apply_switches(profile, switches, lin: _Linearization, held, rows) -> DecisionProfile:
     """``profile`` with the switched agents at their best responses; itself if none moves."""
-    if not (switches & lin.moved).any():
+    if not (moving := switches & lin.moved).any():
         return profile
-    rows[switches] = lin.responses[switches]
+    rows[moving] = held.rows[moving]
     return DecisionProfile(np.where(switches, lin.tokens, np.fromiter(profile.decisions, object)))
 
 
@@ -387,11 +388,11 @@ def stopping_time_step(
         )
         _check_finite(value, k)
         if value <= threshold:
-            decisions = _apply_switches(profile, switches, lin, rows)
+            decisions = _apply_switches(profile, switches, lin, held, rows)
             return StoppingStep(decisions, j + 1, True, value, lin.beta)
         if value < best_value:
             best_value, best_switches = value, switches
-    decisions = _apply_switches(profile, best_switches, lin, rows)
+    decisions = _apply_switches(profile, best_switches, lin, held, rows)
     return StoppingStep(decisions, max_draws, False, best_value, lin.beta)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggfw
 from aggfw.bounds import (
@@ -159,6 +161,81 @@ class TestSfwTailConstants:
         tails = [sfw_tail(20, e, 30, 2.0, schedule) for e in np.linspace(0, 3, 30)]
         assert all(0.0 <= t <= 1.0 for t in tails)
         assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+
+# Each tail as a function of (N, eps, C0), the other inputs fixed.
+TAILS = {
+    "mcdiarmid": mcdiarmid_tail,
+    "variance": lambda n, eps, c0: mcdiarmid_variance_tail(n, eps, 0.2, c0),
+    "sfw": lambda n, eps, c0: sfw_tail(5, eps, n, c0, ConstantSchedule(2)),
+}
+
+
+class TestTailInputs:
+    """Every tail is a probability for every input it accepts, and rejects the rest."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("n_agents", [-5, 0, 2.0, True, "10", math.nan])
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_agent_count_must_be_a_count(self, tail, n_agents, epsilon):
+        with pytest.raises(ValueError, match="n_agents must be an integer of at least 1"):
+            TAILS[tail](n_agents, epsilon, 1.0)
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_numpy_integer_agent_count(self, tail):
+        assert TAILS[tail](np.int64(10), 0.1, 1.0) == TAILS[tail](10, 0.1, 1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("c0", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_c0_must_be_finite_and_nonnegative(self, tail, c0, epsilon):
+        with pytest.raises(ValueError, match="c0 must be finite and nonnegative"):
+            TAILS[tail](10, epsilon, c0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("n_iters", [-3, 0, 2.5, True])
+    def test_sfw_tail_checks_k_before_the_zero_epsilon_shortcut(self, n_iters, epsilon):
+        with pytest.raises(ValueError, match="n_iters must be an integer of at least 1"):
+            sfw_tail(n_iters, epsilon, 10, 1.0, ConstantSchedule(1))
+
+    @pytest.mark.parametrize("sum_vi2", [-1.0, math.nan])
+    def test_variance_term_must_be_nonnegative(self, sum_vi2):
+        with pytest.raises(ValueError, match="variance term must be nonnegative"):
+            mcdiarmid_variance_tail(10, 0.1, sum_vi2, 1.0)
+
+    @pytest.mark.parametrize("c0", [0.0, 2.47e-203, 1.0])
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_infinite_epsilon_gives_zero(self, tail, c0):
+        assert TAILS[tail](10, math.inf, c0) == 0.0
+
+    @pytest.mark.parametrize("n, eps, sum_vi2, c0", [(10, 0.1, 0.2, 1.0), (7, 2.5, 1e-3, 3.7),
+                                                     (10**6, 1e-3, 5.0, 1e-9)])
+    def test_tails_keep_their_float_operations(self, n, eps, sum_vi2, c0):
+        expected = float(np.exp(-2.0 * n * eps**2 / c0**2))
+        assert repr(mcdiarmid_tail(n, eps, c0)) == repr(expected)
+        expected = float(np.exp(-n * eps**2 / (2.0 * (n * sum_vi2 + c0 * eps / 3.0))))
+        assert repr(mcdiarmid_variance_tail(n, eps, sum_vi2, c0)) == repr(expected)
+        schedule = QuadraticSchedule(24.0)
+        v, m = sfw_tail_constants(9, c0, schedule, n)
+        expected = float(np.exp(-(eps**2) * n / (2.0 * (v + eps * m / 3.0))))
+        assert repr(sfw_tail(9, eps, n, c0, schedule)) == repr(expected)
+
+    # Magnitudes whose squares stay normal floats: beyond about 1e+-154 the formulas'
+    # squares overflow or underflow (an open fault of the tails, declared in CHANGES.md).
+    MAGNITUDES = st.just(0.0) | st.floats(1e-100, 1e100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tail=st.sampled_from(sorted(TAILS)),
+        n_agents=st.integers(1, 10**6),
+        c0=MAGNITUDES,
+        epsilons=st.lists(MAGNITUDES | st.just(math.inf), min_size=2, max_size=2),
+    )
+    def test_a_probability_that_does_not_increase_with_epsilon(self, tail, n_agents, c0,
+                                                              epsilons):
+        small, large = sorted(epsilons)
+        at_small, at_large = (TAILS[tail](n_agents, eps, c0) for eps in (small, large))
+        assert 0.0 <= at_large <= at_small <= 1.0
 
 
 class TestSampleSize:

@@ -13,7 +13,8 @@ from aggfw import stochastic_fw
 from aggfw.bounds import ProblemConstants, compute_constants
 from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep, dual_gap_beta
 from aggfw.problems import Aggregate, DecisionProfile, linearized_best_response, objective
-from aggfw.problems import _HeldRows, aggregate_of, profile_rows, zero_gradient_profile
+from aggfw.problems import _HeldRows, aggregate_of, contribution_rows, profile_rows
+from aggfw.problems import zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
     QuadraticSchedule,
@@ -26,7 +27,7 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
-from conftest import INSTANCES, CountingInstance, TableInstance, gradient_runs
+from conftest import INSTANCES, CountingInstance, TableInstance, cycling_tables, gradient_runs
 
 
 class NanAwayFrom(TableInstance):
@@ -403,7 +404,7 @@ class TestCarriedRows:
         start = zero_gradient_profile(miqp_small)
         rows, held = profile_rows(miqp_small, start), _HeldRows(counting)
         first = _linearize(counting, start, rows, held, range(10))
-        nxt = stochastic_fw._apply_switches(start, np.arange(10) == 0, first, rows)
+        nxt = stochastic_fw._apply_switches(start, np.arange(10) == 0, first, held, rows)
         built = counting.rows
         second = _linearize(counting, nxt, rows, held, range(10))
         returning = second.moved & first.moved & (second.tokens == first.tokens)
@@ -432,6 +433,52 @@ class TestCarriedRows:
         assert records == [] and counting.grads == 0
 
 
+class TestHeldResponseRows:
+    """A moved agent's response row lives only in its run's ``_HeldRows``.  On a run
+    state shared across steps, each step leaves the carried rows equal to the next
+    profile's, and each agent moved at the last linearization holding its best response
+    and that token's row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=st.one_of(
+            st.builds(aggfw.generate, st.integers(1, 3), st.integers(1, 8),
+                      st.integers(0, 10**6)),
+            st.integers(0, 10**6).map(cycling_tables),
+        ),
+        solver=st.sampled_from(["active-set", "full", "ls-sfw", "stopping"]),
+        keep_if_worse=st.booleans(),
+        n_draws=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_carried_rows_and_held_responses(self, problem, solver, keep_if_worse, n_draws,
+                                              seed):
+        n, canonical = problem.n_agents, CanonicalStep()
+        profile = zero_gradient_profile(problem)
+        rows, held = profile_rows(problem, profile), _HeldRows(problem)
+        work = stochastic_fw._workspace(n_draws, n, problem.total_dim)
+        closed_loop = LineSearchSfwStep.from_constants(compute_constants(problem))
+        for k in range(6):
+            stream = _rng.stream(seed, _rng.BERNOULLI, 0, k)
+            if solver == "stopping":
+                nxt = stopping_time_step(problem, profile, k, canonical.omega(k), stream,
+                                         max_draws=20, rows=(rows, held)).decisions
+            else:
+                lin = None if solver == "active-set" else _linearize(
+                    problem, profile, rows, held, range(n))
+                omega = (closed_loop.omega(k, beta=lin.beta_rows) if solver == "ls-sfw"
+                         else canonical.omega(k))
+                nxt, _ = sfw_step(problem, profile, k, omega, n_draws, stream,
+                                  keep_if_worse=keep_if_worse, linearization=lin,
+                                  rows=(rows, held, work))
+            lin, moved = held.last, np.flatnonzero(held.last.moved)
+            assert _same_bits(rows, profile_rows(problem, nxt))
+            assert (held.tokens[moved] == lin.tokens[moved]).all()
+            assert _same_bits(held.rows[moved],
+                              contribution_rows(problem, moved, lin.tokens[moved]))
+            profile = nxt
+
+
 def _bits(records):
     """Records without their timings, with every float spelled exactly."""
     return [tuple(map(repr, dataclasses.astuple(dataclasses.replace(r, wall_ms=0.0))))
@@ -439,20 +486,23 @@ def _bits(records):
 
 
 def _reference_sfw(problem, n_iters, schedule, seed, rule, keep_if_worse, use_active_set):
-    """sfw_run rebuilt from public sfw_step calls, each of which rebuilds
-    the profile's rows and allocates its own candidate buffers."""
+    """sfw_run rebuilt from sfw_step calls, each of which rebuilds the profile's rows
+    and allocates its own candidate buffers; a full solve passes its linearization
+    with the fresh ``_HeldRows`` it was built in."""
     closed_loop = isinstance(rule, LineSearchSfwStep)
     profile, records = zero_gradient_profile(problem), []
     for k in range(n_iters):
-        lin = None
+        lin = state = None
+        n_draws = schedule.size(k, problem.n_agents)
         if closed_loop or not use_active_set:
-            rows = profile_rows(problem, profile)
-            lin = _linearize(problem, profile, rows, _HeldRows(problem), range(problem.n_agents))
+            rows, held = profile_rows(problem, profile), _HeldRows(problem)
+            lin = _linearize(problem, profile, rows, held, range(problem.n_agents))
+            state = (rows, held, stochastic_fw._workspace(n_draws, problem.n_agents,
+                                                          problem.total_dim))
         omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
         profile, record = sfw_step(
-            problem, profile, k, omega, schedule.size(k, problem.n_agents),
-            _rng.stream(seed, _rng.BERNOULLI, 0, k),
-            keep_if_worse=keep_if_worse, linearization=lin,
+            problem, profile, k, omega, n_draws, _rng.stream(seed, _rng.BERNOULLI, 0, k),
+            keep_if_worse=keep_if_worse, linearization=lin, rows=state,
         )
         records.append(record)
     nan = math.nan
@@ -711,8 +761,7 @@ class TestCandidateWorkspace:
         profile = DecisionProfile((0,) * n)
         lin = stochastic_fw._Linearization(
             profile, Aggregate(y, problem.block_dims), None, tokens=np.ones(n, dtype=object),
-            responses=np.zeros((n, q)), delta=delta, solved=np.ones(n, dtype=bool),
-            moved=np.ones(n, dtype=bool),
+            delta=delta, solved=np.ones(n, dtype=bool), moved=np.ones(n, dtype=bool),
         )
         rows = None
         if run_state:  # a larger, dirty workspace: only its leading rows may be read
