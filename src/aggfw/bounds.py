@@ -73,7 +73,7 @@ def gap_bound_refined(constants: ProblemConstants) -> float:
     return constants.d_of_k(min(constants.total_dim, n)) / (2 * n**2)
 
 
-def _tail_count(n_agents, epsilon: float, c0: float) -> int:
+def _tail_count(n_agents, c0: float, epsilon: float = 0.0) -> int:
     """``n_agents`` as a count, once ``epsilon`` and ``c0`` are nonnegative, ``c0`` finite."""
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -84,7 +84,7 @@ def _tail_count(n_agents, epsilon: float, c0: float) -> int:
 
 def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
     """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
-    n_agents = _tail_count(n_agents, epsilon, c0)
+    n_agents = _tail_count(n_agents, c0, epsilon)
     if c0 == 0 or epsilon == math.inf:
         return 1.0 if epsilon == 0 else 0.0
     return float(np.exp(-2.0 * n_agents * epsilon**2 / c0**2))
@@ -92,7 +92,7 @@ def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
 
 def _bernstein_tail(n_agents, epsilon: float, c0: float, constants) -> float:
     """exp(-N eps^2 / (2 (v + eps m / 3))), with (v, m) = ``constants(N)`` once N is a count."""
-    n_agents = _tail_count(n_agents, epsilon, c0)
+    n_agents = _tail_count(n_agents, c0, epsilon)
     v, m = constants(n_agents)
     if not v >= 0:
         raise ValueError(f"variance term must be nonnegative, got {v}")
@@ -121,7 +121,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
     ``schedule`` must expose ``size(k, n_agents) -> int``, the number of
     candidate draws at iteration k.
     """
-    big_k = _count(n_iters, "n_iters")
+    big_k, n_agents = _count(n_iters, "n_iters"), _tail_count(n_agents, c0)
     v_sum = 0.0
     m_max = 0.0
     for k in range(1, big_k):
@@ -141,12 +141,13 @@ def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -
 
 def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1: float) -> int:
     """Number of selection draws so the best sample is (3 C1 / k)-optimal w.p. 1 - zeta."""
+    n_agents = _tail_count(n_agents, c0)
     if _count(k, "k") > n_agents:
         raise ValueError(f"the guarantee requires 1 <= k <= N, got k={k}, N={n_agents}")
     if not 0 < zeta < 1:
         raise ValueError(f"confidence level zeta must lie in (0, 1), got {zeta}")
-    if c1 <= 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
+    if not 0 < c1 < math.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
     raw = 2.0 * c0**2 / c1**2 * k**2 / n_agents * math.log(1.0 / zeta)
     return max(math.ceil(raw), 1)
 

@@ -77,12 +77,11 @@ class DiscreteMeasure:
     __slots__ = ("agent", "atoms")
 
     def __init__(self, agent: int, atoms):
-        atoms = list(atoms)
+        self.agent, atoms = _count(agent, "agent", 0), list(atoms)
         # fromiter keeps each token whole: a tuple decision is one token.
         tokens = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))[None]
         weights = np.array([[float(w) for w, _ in atoms]])
-        self.agent = int(agent)
-        self.atoms = MeasureProfile.from_atoms(weights, tokens, (agent,))[0].atoms
+        self.atoms = MeasureProfile.from_atoms(weights, tokens, (self.agent,))[0].atoms
 
     @classmethod
     def dirac(cls, agent: int, decision: Decision) -> "DiscreteMeasure":

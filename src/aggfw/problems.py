@@ -256,14 +256,13 @@ def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarr
 
 
 class _HeldRows:
-    """One held token per agent with its contribution row, and a stochastic run's ``last``
-    linearization.  ``hold`` validates and rebuilds only the rows whose token differs."""
+    """One held token per agent with its contribution row.  ``hold`` validates and
+    rebuilds only the rows whose token differs."""
 
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         self.tokens = np.full(problem.n_agents, np.nan, dtype=object)  # NaN equals no token
         self.rows = np.empty((problem.n_agents, problem.total_dim))
-        self.last = None
 
     def hold(self, agents: np.ndarray, tokens: np.ndarray) -> None:
         """Hold ``tokens[r]`` (an object array) for agent ``agents[r]``."""

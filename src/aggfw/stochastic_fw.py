@@ -117,21 +117,19 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
     return n_agents * (1.0 - (k / (k + 2.0)) ** n_draws)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Linearization:
-    """The objective linearized at ``profile``, with the solved agents' moves.
+    """The objective linearized at its run's iterate, with the solved agents' moves.
 
-    ``tokens`` holds the profile's tokens with each agent marked ``solved`` at its best
+    ``tokens`` holds the iterate's tokens with each agent marked ``solved`` at its best
     response to ``grad``, ``moved`` those whose response differs under ``==``, and ``delta``
-    the moved agents' response rows, which the ``_HeldRows`` it was built in holds, less
-    their own: the linearization serves only with that ``_HeldRows``.  ``ybar`` and both
-    gaps need every agent's best response; otherwise they are None and NaN.  ``beta``
-    takes ybar = y + mean(delta), ``beta_rows`` the mean of the best-response rows: the two
-    differ in the last bits, and the recorded trajectories pin the first in the records
-    and the second in the closed-loop step sizes.
+    the moved agents' response rows, which the run's ``_HeldRows`` holds, less their own.
+    ``ybar`` and both gaps need every agent's best response; until a request for every
+    agent they are None and NaN.  ``beta`` takes ybar = y + mean(delta), ``beta_rows`` the
+    mean of the best-response rows: the two differ in the last bits, and the recorded
+    trajectories pin the first in the records and the second in the closed-loop step sizes.
     """
 
-    profile: DecisionProfile
     y: Aggregate
     grad: Aggregate
     tokens: np.ndarray
@@ -143,40 +141,46 @@ class _Linearization:
     beta_rows: float = math.nan
 
 
-def _workspace(n_max: int, n_agents: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate buffers: the switches as floats, (n_max, N), and the points, (n_max, q)."""
-    return np.empty((n_max, n_agents)), np.empty((n_max, dim))
+class _Run:
+    """A stochastic run's state: the iterate ``profile`` (by default the zero-gradient
+    profile), its contribution ``rows``, the run's ``_HeldRows``, the iterate's
+    linearization ``lin`` (None until a step asks for it) and the candidate buffers for up
+    to ``n_max`` draws: the switches as floats, (n_max, N), and the points, (n_max, q).
+    With ``full`` each step solves every agent."""
+
+    def __init__(self, problem: ProblemInstance, profile=None, n_max=0, full=False):
+        self.profile = profile if profile is not None else zero_gradient_profile(problem)
+        self.rows, self.held = profile_rows(problem, self.profile), _HeldRows(problem)
+        self.lin: _Linearization | None = None
+        self.full, self.floats = full, np.empty((n_max, problem.n_agents))
+        self.points = np.empty((n_max, problem.total_dim))
 
 
-def _linearize(problem: ProblemInstance, profile, rows, held, agents) -> _Linearization:
-    """Linearize f at ``profile``, whose rows are ``rows``, and solve ``agents`` via ``held``.
+def _linearize(problem: ProblemInstance, run: _Run, agents=None) -> _Linearization:
+    """``run.lin``, built at ``run.profile`` if None, with ``agents`` (None: all) solved.
 
-    ``held.last`` keeps the linearization as long as its iterate: asked again about the
-    same profile object, this solves only the agents not solved there yet.  A response row
-    is the agent's own row if its token is unchanged, else the one held.  The gaps belong
-    to a request for every agent; a partial request gets them as None and NaN."""
-    n, agents, lin = problem.n_agents, np.asarray(agents, dtype=np.intp), held.last
-    if lin is None or lin.profile is not profile:
-        y, tokens = rows_aggregate(problem, rows), np.fromiter(profile.decisions, object, n)
-        lin = held.last = _Linearization(profile, y, problem.f_grad(y), tokens,
-                                         np.zeros(rows.shape), np.zeros(n, bool), np.zeros(n, bool))
-    new = agents[~lin.solved[agents]]
+    Only agents not solved at the iterate yet are asked, in the order given.  A response
+    row is the agent's own row if its token is unchanged, else the one held.  ``ybar``
+    and both gaps are filled at the first request for every agent (None)."""
+    n, lin, rows = problem.n_agents, run.lin, run.rows
+    if lin is None:
+        y, tokens = rows_aggregate(problem, rows), np.fromiter(run.profile.decisions, object, n)
+        lin = run.lin = _Linearization(y, problem.f_grad(y), tokens, np.zeros(rows.shape),
+                                       np.zeros(n, bool), np.zeros(n, bool))
+    asked = np.arange(n) if agents is None else np.asarray(agents, dtype=np.intp)
+    new = asked[~lin.solved[asked]]
     if new.size:
         best = np.fromiter(problem.best_response_all(lin.grad, new), object, new.size)
         moved = new[~(lin.tokens[new] == best)]
         lin.tokens[new], lin.solved[new], lin.moved[moved] = best, True, True
-        held.hold(moved, lin.tokens[moved])
-        lin.delta[moved] = held.rows[moved] - rows[moved]
-    if agents.size < n or not np.bincount(agents, minlength=n).all():  # not every agent asked
-        return lin if lin.ybar is None else dataclasses.replace(
-            lin, ybar=None, beta=math.nan, beta_rows=math.nan)
-    y, grad = lin.y, lin.grad
-    if lin.ybar is None:
-        ybar = Aggregate(y.values + sequential_sum(lin.delta) / n, problem.block_dims)
-        responses = np.where(lin.moved[:, None], held.rows, rows)
-        beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
-        beta = dual_gap_beta(problem, y, ybar, grad=grad)
-        lin = held.last = dataclasses.replace(lin, ybar=ybar, beta=beta, beta_rows=beta_rows)
+        run.held.hold(moved, lin.tokens[moved])
+        lin.delta[moved] = run.held.rows[moved] - rows[moved]
+    if agents is None and lin.ybar is None:
+        y, grad = lin.y, lin.grad
+        lin.ybar = Aggregate(y.values + sequential_sum(lin.delta) / n, problem.block_dims)
+        responses = np.where(lin.moved[:, None], run.held.rows, rows)
+        lin.beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
+        lin.beta = dual_gap_beta(problem, y, lin.ybar, grad=grad)
     return lin
 
 
@@ -188,36 +192,34 @@ def sfw_step(
     n_draws: int,
     rng: np.random.Generator,
     keep_if_worse: bool = True,
-    linearization: _Linearization | None = None,
-    rows: tuple[np.ndarray, _HeldRows, tuple] | None = None,
+    run: _Run | None = None,
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
     Bernoulli switches are presampled first, so only the agents that
     actually switch in some candidate get their subproblem solved,
-    unless ``linearization`` already holds every agent's best response
-    at ``profile``; the trajectory is identical either way.  With
-    ``keep_if_worse`` the iterate stays put when every candidate is
+    unless the run solves every agent; the trajectory is identical either
+    way.  The record's ``beta`` is NaN unless the step asked every agent.
+    With ``keep_if_worse`` the iterate stays put when every candidate is
     worse than the current profile (the objective then never increases);
-    otherwise the best candidate is taken unconditionally; a candidate that changes no
-    token returns ``profile`` itself.  A caller holding ``profile_rows(problem, profile)``,
-    its run's ``_HeldRows`` and a ``_workspace`` of ``n_draws`` rows or more passes them as
-    ``rows``; the step then reads and updates them instead of building them for this call.
-    A ``linearization`` must come in ``rows`` with the ``_HeldRows`` it was built in.
+    otherwise the best candidate is taken unconditionally; a candidate that
+    changes no token returns ``profile`` itself.  A run loop passes its ``_Run``
+    (its ``profile`` is ``profile``, its buffers hold ``n_draws`` rows or more).
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     n_draws = _count(n_draws, "n_draws")
     n = problem.n_agents
-    rows, held, work = rows or (profile_rows(problem, profile), _HeldRows(problem), None)
+    run = run if run is not None else _Run(problem, profile, n_draws)
     switches = bernoulli_matrix(rng, n_draws, n, omega)
     active = np.flatnonzero(switches.any(axis=0))
-    lin = linearization or _linearize(problem, profile, rows, held, active)
+    agents = None if run.full or active.size == n else active
+    lin = _linearize(problem, run, agents)
     value = problem.f_value(lin.y)
     _check_finite(value, k)
 
-    floats, points = (b[:n_draws] for b in work or _workspace(n_draws, n, problem.total_dim))
+    floats, points = run.floats[:n_draws], run.points[:n_draws]
     np.copyto(floats, switches)
     np.matmul(floats, lin.delta, out=points)  # one product: BLAS bits follow its shape
     points /= n
@@ -228,20 +230,24 @@ def sfw_step(
     _check_finite(candidate_values, k)
     best = int(np.argmin(candidate_values))  # first occurrence wins ties
 
-    next_profile = profile
+    beta, moved = lin.beta if agents is None else math.nan, False
     if not keep_if_worse or candidate_values[best] < value:
-        next_profile = _apply_switches(profile, switches[best], lin, held, rows)
-    record = SfwRecord(k, value, lin.beta, omega, n_draws, active.size,
-                       next_profile is not profile, (time.perf_counter() - start) * 1e3)
-    return next_profile, record
+        moved = _apply_switches(run, switches[best])
+    record = SfwRecord(k, value, beta, omega, n_draws, active.size, moved,
+                       (time.perf_counter() - start) * 1e3)
+    return run.profile, record
 
 
-def _apply_switches(profile, switches, lin: _Linearization, held, rows) -> DecisionProfile:
-    """``profile`` with the switched agents at their best responses; itself if none moves."""
-    if not (moving := switches & lin.moved).any():
-        return profile
-    rows[moving] = held.rows[moving]
-    return DecisionProfile(np.where(switches, lin.tokens, np.fromiter(profile.decisions, object)))
+def _apply_switches(run: _Run, switches: np.ndarray) -> bool:
+    """Move ``run`` to the iterate with the switched agents at their best responses, and
+    tell whether it moved: the iterate and its linearization stay if no token changes."""
+    if not (moving := switches & run.lin.moved).any():
+        return False
+    run.rows[moving] = run.held.rows[moving]
+    run.profile = DecisionProfile(
+        np.where(switches, run.lin.tokens, np.fromiter(run.profile.decisions, object)))
+    run.lin = None
+    return True
 
 
 def _check_finite(values, k: int) -> None:
@@ -249,13 +255,12 @@ def _check_finite(values, k: int) -> None:
         raise ValueError(f"non-finite objective at iteration {k}")
 
 
-def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callback, step):
+def _iterate(problem, n_iters: int, seed: int, initial, callback, step, n_max=0, full=True):
     """Outer loop shared by the stochastic solvers.
 
-    ``step(k, profile, rows, stream)`` returns the next profile and the
-    record of iteration k and moves ``rows`` (as in ``sfw_step``) to the next's;
-    ``stream`` is the iteration's Bernoulli stream.  The record's
-    ``wall_ms`` is set here to the whole iteration's time.
+    ``step(k, run, stream)`` returns the record of iteration k and moves ``run``, the
+    ``_Run(problem, initial, n_max, full)``, to the next iterate; ``stream`` is the
+    iteration's Bernoulli stream.  The record's ``wall_ms`` is the whole iteration's.
     """
     n_iters = _count(n_iters, "n_iters")
     if n_iters > 2 * problem.n_agents:
@@ -264,20 +269,18 @@ def _iterate(problem: ProblemInstance, n_iters: int, seed: int, initial, callbac
             f"({problem.n_agents}); the convergence bounds are proven only up to 2N",
             stacklevel=3,
         )
-    profile = initial if initial is not None else zero_gradient_profile(problem)
-    rows, held = profile_rows(problem, profile), _HeldRows(problem)
-    records: list[SfwRecord] = []
+    run, records = _Run(problem, initial, n_max, full), []
     for k in range(n_iters):
         start = time.perf_counter()
-        profile, record = step(k, profile, (rows, held), _rng.stream(seed, _rng.BERNOULLI, 0, k))
+        record = step(k, run, _rng.stream(seed, _rng.BERNOULLI, 0, k))
         record = dataclasses.replace(record, wall_ms=(time.perf_counter() - start) * 1e3)
         records.append(record)
         if callback is not None:
             callback(record)
     # Terminal sentinel: the final objective, no draws and no step.
-    nan = float("nan")
-    records.append(SfwRecord(n_iters, rows_objective(problem, rows), nan, nan, 0, 0, False, 0.0))
-    return profile, records
+    final = rows_objective(problem, run.rows)
+    records.append(SfwRecord(n_iters, final, math.nan, math.nan, 0, 0, False, 0.0))
+    return run.profile, records
 
 
 def sfw_run(
@@ -306,21 +309,17 @@ def sfw_run(
     if not isinstance(rule, (CanonicalStep, LineSearchSfwStep)):
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
-    agents, full_solve = np.arange(problem.n_agents), closed_loop or not use_active_set
     n_iters = _count(n_iters, "n_iters")
     sizes = [_count(schedule.size(k, problem.n_agents), f"schedule size at iteration {k}")
              for k in range(n_iters)]
-    work = _workspace(max(sizes, default=1), problem.n_agents, problem.total_dim)
 
-    def step(k, profile, rows, stream):
-        lin = _linearize(problem, profile, *rows, agents) if full_solve else None
-        omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
-        return sfw_step(
-            problem, profile, k, omega, sizes[k], stream,
-            keep_if_worse=keep_if_worse, linearization=lin, rows=(*rows, work),
-        )
+    def step(k, run, stream):
+        beta = _linearize(problem, run).beta_rows if closed_loop else None  # the step reuses it
+        return sfw_step(problem, run.profile, k, rule.omega(k, beta=beta), sizes[k], stream,
+                        keep_if_worse=keep_if_worse, run=run)[1]
 
-    return _iterate(problem, n_iters, seed, initial, callback, step)
+    return _iterate(problem, n_iters, seed, initial, callback, step,
+                    n_max=max(sizes, default=1), full=closed_loop or not use_active_set)
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ def stopping_time_step(
     rng: np.random.Generator,
     max_draws: int | None = None,
     constants: ProblemConstants | None = None,
-    rows: tuple[np.ndarray, _HeldRows] | None = None,
+    run: _Run | None = None,
 ) -> StoppingStep:
     """Draw candidates one at a time until the acceptance inequality holds.
 
@@ -363,7 +362,7 @@ def stopping_time_step(
     relaxed value of the mixed iterate, ``f((1-omega) y + omega ybar)``,
     by more than ``(C1/2 + C0) omega^2``.  If ``max_draws`` candidates
     all fail, the best one seen is returned with ``accepted=False``.
-    ``rows`` are as in ``sfw_step``.
+    The step solves every agent.  ``run`` is as in ``sfw_step``.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
@@ -372,8 +371,8 @@ def stopping_time_step(
         max_draws = default_draw_cap(problem.n_agents, k)
     max_draws = _count(max_draws, "max_draws")
     n, dims = problem.n_agents, problem.block_dims
-    rows, held = rows if rows is not None else (profile_rows(problem, profile), _HeldRows(problem))
-    lin = _linearize(problem, profile, rows, held, np.arange(n))
+    run = run if run is not None else _Run(problem, profile)
+    lin = _linearize(problem, run)
     mixed = (1.0 - omega) * lin.y.values + omega * lin.ybar.values
     threshold = problem.f_value(Aggregate(mixed, dims)) + (
         constants.c1 / 2.0 + constants.c0
@@ -388,12 +387,12 @@ def stopping_time_step(
         )
         _check_finite(value, k)
         if value <= threshold:
-            decisions = _apply_switches(profile, switches, lin, held, rows)
-            return StoppingStep(decisions, j + 1, True, value, lin.beta)
+            _apply_switches(run, switches)
+            return StoppingStep(run.profile, j + 1, True, value, lin.beta)
         if value < best_value:
             best_value, best_switches = value, switches
-    decisions = _apply_switches(profile, best_switches, lin, held, rows)
-    return StoppingStep(decisions, max_draws, False, best_value, lin.beta)
+    _apply_switches(run, best_switches)
+    return StoppingStep(run.profile, max_draws, False, best_value, lin.beta)
 
 
 def stopping_time_run(
@@ -415,14 +414,13 @@ def stopping_time_run(
     constants = compute_constants(problem)
     rule = CanonicalStep()
 
-    def step(k, profile, rows, stream):
-        value = rows_objective(problem, rows[0])
+    def step(k, run, stream):
+        value = rows_objective(problem, run.rows)
         result = stopping_time_step(
-            problem, profile, k, rule.omega(k), stream,
-            max_draws=max_draws, constants=constants, rows=rows,
+            problem, run.profile, k, rule.omega(k), stream,
+            max_draws=max_draws, constants=constants, run=run,
         )
-        record = SfwRecord(k, value, result.beta, rule.omega(k), result.n_draws,
-                           problem.n_agents, result.accepted, 0.0)
-        return result.decisions, record
+        return SfwRecord(k, value, result.beta, rule.omega(k), result.n_draws,
+                         problem.n_agents, result.accepted, 0.0)
 
     return _iterate(problem, n_iters, seed, initial, callback, step)

@@ -192,6 +192,15 @@ class TestTailInputs:
         with pytest.raises(ValueError, match="c0 must be finite and nonnegative"):
             TAILS[tail](10, epsilon, c0)
 
+    @pytest.mark.parametrize("c0", [-1.0, -3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda c0: sample_size_for_confidence(1, 10, 0.1, c0, 1.0),
+        lambda c0: sfw_tail_constants(5, c0, ConstantSchedule(1), 10),
+    ], ids=["sample_size_for_confidence", "sfw_tail_constants"])
+    def test_the_tail_inputs_check_c0_alike(self, call, c0):
+        with pytest.raises(ValueError, match="c0 must be finite and nonnegative"):
+            call(c0)
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("n_iters", [-3, 0, 2.5, True])
     def test_sfw_tail_checks_k_before_the_zero_epsilon_shortcut(self, n_iters, epsilon):
@@ -259,6 +268,15 @@ class TestSampleSize:
     def test_rejects_bad_confidence(self, zeta):
         with pytest.raises(ValueError):
             sample_size_for_confidence(3, 9, zeta, 1.0, 1.0)
+
+    @pytest.mark.parametrize("c1", [0.0, -1.0, math.inf, math.nan])
+    def test_c1_must_be_positive_and_finite(self, c1):
+        with pytest.raises(ValueError, match="c1 must be positive and finite"):
+            sample_size_for_confidence(3, 9, 0.1, 1.0, c1)
+
+    def test_the_agent_count_is_checked_before_k(self):
+        with pytest.raises(ValueError, match="n_agents must be an integer of at least 1"):
+            sample_size_for_confidence(11, 10.5, 0.1, 1.0, 1.0)
 
 
 class TestNonconvexityMeasure:

@@ -10,7 +10,7 @@ import aggfw
 from aggfw import rng as _rng
 from aggfw.bounds import compute_constants, sample_size_for_confidence, sfw_tail_constants
 from aggfw.frank_wolfe import fw_run, fw_with_selection
-from aggfw.measures import MeasureProfile, select_best
+from aggfw.measures import DiscreteMeasure, MeasureProfile, select_best
 from aggfw.problems import zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
@@ -64,6 +64,14 @@ SITES = {
     "sample_size_for_confidence.k": (
         "k", 1, lambda p, v: sample_size_for_confidence(v, 10, 0.1, 1.0, 1.0),
     ),
+    "sample_size_for_confidence.n_agents": (
+        "n_agents", 1, lambda p, v: sample_size_for_confidence(1, v, 0.1, 1.0, 1.0),
+    ),
+    "sfw_tail_constants.n_agents": (
+        "n_agents", 1, lambda p, v: sfw_tail_constants(5, 1.0, ConstantSchedule(2), v),
+    ),
+    "DiscreteMeasure.agent": ("agent", 0, lambda p, v: DiscreteMeasure(v, [(1.0, 0)])),
+    "DiscreteMeasure.dirac": ("agent", 0, lambda p, v: DiscreteMeasure.dirac(v, 0)),
     "generate.m": ("m", 1, lambda p, v: aggfw.generate(v, 4, 1)),
     "generate.n": ("n", 1, lambda p, v: aggfw.generate(3, v, 1)),
     "BalancedSignsInstance": ("n_agents", 1, lambda p, v: aggfw.BalancedSignsInstance(v)),

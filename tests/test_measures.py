@@ -210,7 +210,7 @@ class TestPerMeasureChecks:
         "problem", [aggfw.generate(3, 4, seed=1), aggfw.BalancedSignsInstance(4)],
         ids=["miqp", "balanced-signs"],
     )
-    @pytest.mark.parametrize("agent", [9, 4, -1])
+    @pytest.mark.parametrize("agent", [9, 4])  # -1: see DiscreteMeasure.agent in SITES
     def test_agent_outside_the_problem_raises(self, statistic, problem, agent):
         measure = DiscreteMeasure(agent, [(0.5, d) for d in problem.decision_universe(0)])
         with pytest.raises(ValueError, match=f"agent {agent} out of range for 4 agents"):

@@ -21,7 +21,8 @@ from aggfw.problems import (
     zero_gradient_profile,
 )
 
-from aggfw.stochastic_fw import _linearize
+from aggfw import rng as _rng
+from aggfw.stochastic_fw import _apply_switches, _linearize, _Run, sfw_step
 
 from conftest import INSTANCES, CountingInstance, TableInstance
 
@@ -261,68 +262,74 @@ class FailsForTwo(TableInstance):
 
 
 class TestHeldResponses:
-    """``_linearize`` keeps an iterate's linearization in the run's ``_HeldRows`` and asks
-    the oracle, in the order given, only for the agents not yet solved at that iterate
-    object."""
+    """``_linearize`` keeps the iterate's linearization in its ``_Run`` until the iterate
+    moves, and asks the oracle, in the order given, only for the agents not yet solved at
+    the run's iterate."""
 
-    def linearize(self, problem, profile):
-        """A counting wrapper of ``problem`` and ``_linearize`` on one held run state."""
+    def linearize(self, problem, profile, n_max=0):
+        """A counting wrapper of ``problem``, a run at ``profile`` and ``_linearize`` on it."""
         counting = CountingInstance(problem)
-        rows, held = profile_rows(problem, profile), _HeldRows(counting)
-        return counting, lambda x, agents: _linearize(counting, x, rows, held, agents)
+        run = _Run(counting, profile, n_max)
+        return counting, run, lambda agents=None: _linearize(counting, run, agents)
 
     def test_the_same_iterate_makes_no_new_call(self, miqp_small):
         profile = DecisionProfile((0, 1) * 5)
-        counting, linearize = self.linearize(miqp_small, profile)
-        first = linearize(profile, range(10))
-        again = linearize(profile, np.arange(10)[::-1])
-        assert again is first  # the held linearization, gaps and all
+        counting, run, linearize = self.linearize(miqp_small, profile)
+        first = linearize()
+        assert linearize(np.arange(10)[::-1]) is first and linearize() is first
+        assert run.lin is first and first.beta >= 0.0  # the held linearization, gaps and all
         assert len(counting.asked) == 1 and counting.calls == 10 and counting.grads == 1
         assert list(first.tokens) == miqp_small.best_response_all(first.grad)
 
-    def test_a_new_equal_iterate_asks_again(self, miqp_small):
+    def test_a_step_that_moves_re_asks_at_the_new_iterate(self, miqp_small):
         profile = DecisionProfile((0, 1) * 5)
-        counting, linearize = self.linearize(miqp_small, profile)
-        first = linearize(profile, range(10))
-        got = linearize(DecisionProfile(profile.decisions), np.array([7, 2, 5]))
-        assert got.grad.values.tobytes() == first.grad.values.tobytes()
+        counting, run, linearize = self.linearize(miqp_small, profile)
+        first = linearize()
+        assert not _apply_switches(run, ~first.moved)  # no token changes: the iterate stays
+        assert run.profile is profile and run.lin is first
+        assert _apply_switches(run, first.moved) and run.lin is None
+        got = linearize(np.array([7, 2, 5]))
+        assert run.profile is not profile and got is run.lin and got is not first
         assert counting.grads == 2
         assert counting.asked[-1] == (2, got.grad.values.tobytes(), [7, 2, 5])
         assert list(got.tokens[[7, 2, 5]]) == miqp_small.best_response_all(got.grad, [7, 2, 5])
 
     def test_a_partial_request_gets_no_gap(self, miqp_small):
-        # The gaps belong to the request for every agent, also once an earlier one made them.
-        profile = DecisionProfile((0, 1) * 5)
-        counting, linearize = self.linearize(miqp_small, profile)
-        full = linearize(profile, range(10))
-        part = linearize(profile, np.array([3, 1]))
-        assert part.ybar is None and math.isnan(part.beta) and math.isnan(part.beta_rows)
-        assert full.beta >= 0.0 and linearize(profile, range(10)) is full
-        assert len(counting.asked) == 1
+        # The gap belongs to a step that asks every agent, also once an earlier one made it.
+        # At this iterate the all-active step (omega = 1) is rejected, so the iterate stays.
+        profile = DecisionProfile((1, 1, 1, 0, 0, 0, 0, 0, 0, 1))
+        counting, run, _ = self.linearize(miqp_small, profile, n_max=2)
+        _, full = sfw_step(counting, profile, 0, 1.0, 1, _rng.stream(0), run=run)
+        assert not full.accepted and full.active_count == 10 and full.beta > 0.0
+        _, part = sfw_step(counting, profile, 1, 0.1, 2, _rng.stream(30), run=run)
+        assert not part.accepted and part.active_count == 4 and math.isnan(part.beta)
+        _, again = sfw_step(counting, profile, 2, 1.0, 1, _rng.stream(0), run=run)
+        assert repr(again.beta) == repr(full.beta) and run.profile is profile
+        assert len(counting.asked) == 1 and counting.grads == 1
 
     def test_unsorted_repeated_and_empty_agent_lists(self, table_instance):
         profile = DecisionProfile((0, 0, 0, 0))
-        counting, linearize = self.linearize(table_instance, profile)
+        counting, _, linearize = self.linearize(table_instance, profile)
         grad = table_instance.f_grad(aggregate_of(table_instance, profile))
         expected = [table_instance.best_response(i, grad) for i in range(4)]
-        lin = linearize(profile, np.array([3, 1, 3, 0]))
+        lin = linearize(np.array([3, 1, 3, 0]))
         assert list(lin.tokens[[3, 1, 3, 0]]) == [
             expected[3], expected[1], expected[3], expected[0]
         ]
         assert lin.ybar is None and math.isnan(lin.beta)  # four entries, but agent 2 unasked
-        assert list(linearize(profile, np.array([], dtype=np.intp)).solved) == [1, 1, 0, 1]
-        lin = linearize(profile, np.array([2, 1, 2]))
+        assert list(linearize(np.array([], dtype=np.intp)).solved) == [1, 1, 0, 1]
+        lin = linearize(np.array([2, 1, 2]))
         assert list(lin.tokens) == expected and lin.solved.all() and lin.ybar is None
-        assert linearize(profile, range(4)).beta >= 0.0
+        assert linearize().beta >= 0.0
         # each unsolved entry is asked in order; the solvers ask no agent twice
         assert [asked for _, _, asked in counting.asked] == [[3, 1, 3, 0], [2, 2]]
 
     def test_an_oracle_failure_names_the_agent(self):
         problem, profile = FailsForTwo(), DecisionProfile((0, 0, 0, 0))
-        counting, linearize = self.linearize(problem, profile)
-        assert list(linearize(profile, np.array([0, 1])).tokens[:2]) == [1, 1]
+        counting, _, linearize = self.linearize(problem, profile)
+        assert list(linearize(np.array([0, 1])).tokens[:2]) == [1, 1]
         with pytest.raises(RuntimeError, match="best response of agent 2 failed: no answer"):
-            linearize(profile, np.array([3, 2, 0]))
+            linearize(np.array([3, 2, 0]))
         assert [asked for _, _, asked in counting.asked] == [[0, 1], [3, 2]]
 
 

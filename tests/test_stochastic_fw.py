@@ -13,12 +13,13 @@ from aggfw import stochastic_fw
 from aggfw.bounds import ProblemConstants, compute_constants
 from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep, dual_gap_beta
 from aggfw.problems import Aggregate, DecisionProfile, linearized_best_response, objective
-from aggfw.problems import _HeldRows, aggregate_of, contribution_rows, profile_rows
-from aggfw.problems import zero_gradient_profile
+from aggfw.problems import aggregate_of, contribution_rows, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
     QuadraticSchedule,
+    _apply_switches,
     _linearize,
+    _Run,
     bernoulli_matrix,
     canonical_active_expectation,
     default_draw_cap,
@@ -402,13 +403,15 @@ class TestCarriedRows:
         # held for them at the first iterate: their rows are served, not rebuilt.
         counting = CountingInstance(miqp_small)
         start = zero_gradient_profile(miqp_small)
-        rows, held = profile_rows(miqp_small, start), _HeldRows(counting)
-        first = _linearize(counting, start, rows, held, range(10))
-        nxt = stochastic_fw._apply_switches(start, np.arange(10) == 0, first, held, rows)
+        run = _Run(counting, start)
+        first = _linearize(counting, run)
+        assert _apply_switches(run, np.arange(10) == 0)
         built = counting.rows
-        second = _linearize(counting, nxt, rows, held, range(10))
+        second = _linearize(counting, run)
         returning = second.moved & first.moved & (second.tokens == first.tokens)
-        assert nxt is not start and returning.sum() == 9 and counting.rows == built == 10
+        # N rows of the start, then the ten moved responses at the first iterate
+        assert run.profile is not start and returning.sum() == 9
+        assert counting.rows == built == 20
 
     @pytest.mark.parametrize("run", ["sfw", "stopping"])
     def test_invalid_best_response_is_rejected_when_switched_in(self, run):
@@ -434,10 +437,10 @@ class TestCarriedRows:
 
 
 class TestHeldResponseRows:
-    """A moved agent's response row lives only in its run's ``_HeldRows``.  On a run
-    state shared across steps, each step leaves the carried rows equal to the next
-    profile's, and each agent moved at the last linearization holding its best response
-    and that token's row."""
+    """A moved agent's response row lives only in its run's ``_HeldRows``.  On a ``_Run``
+    shared across steps, each step leaves the carried rows equal to the next profile's,
+    each agent moved at the step's linearization holding its best response and that
+    token's row, and the linearization held exactly while the iterate stays."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -453,30 +456,33 @@ class TestHeldResponseRows:
     )
     def test_carried_rows_and_held_responses(self, problem, solver, keep_if_worse, n_draws,
                                               seed):
-        n, canonical = problem.n_agents, CanonicalStep()
-        profile = zero_gradient_profile(problem)
-        rows, held = profile_rows(problem, profile), _HeldRows(problem)
-        work = stochastic_fw._workspace(n_draws, n, problem.total_dim)
+        canonical, built = CanonicalStep(), []
+        run = _Run(problem, None, n_draws, full=solver != "active-set")
         closed_loop = LineSearchSfwStep.from_constants(compute_constants(problem))
+        linearize = stochastic_fw._linearize
+
+        def watched(*args):
+            built.append(linearize(*args))
+            return built[-1]
+
         for k in range(6):
-            stream = _rng.stream(seed, _rng.BERNOULLI, 0, k)
-            if solver == "stopping":
-                nxt = stopping_time_step(problem, profile, k, canonical.omega(k), stream,
-                                         max_draws=20, rows=(rows, held)).decisions
-            else:
-                lin = None if solver == "active-set" else _linearize(
-                    problem, profile, rows, held, range(n))
-                omega = (closed_loop.omega(k, beta=lin.beta_rows) if solver == "ls-sfw"
-                         else canonical.omega(k))
-                nxt, _ = sfw_step(problem, profile, k, omega, n_draws, stream,
-                                  keep_if_worse=keep_if_worse, linearization=lin,
-                                  rows=(rows, held, work))
-            lin, moved = held.last, np.flatnonzero(held.last.moved)
-            assert _same_bits(rows, profile_rows(problem, nxt))
+            stream, profile = _rng.stream(seed, _rng.BERNOULLI, 0, k), run.profile
+            with mock.patch.object(stochastic_fw, "_linearize", watched):
+                if solver == "stopping":
+                    nxt = stopping_time_step(problem, profile, k, canonical.omega(k), stream,
+                                             max_draws=20, run=run).decisions
+                else:
+                    beta = _linearize(problem, run).beta_rows if solver == "ls-sfw" else None
+                    omega = (closed_loop.omega(k, beta=beta) if solver == "ls-sfw"
+                             else canonical.omega(k))
+                    nxt, _ = sfw_step(problem, profile, k, omega, n_draws, stream,
+                                      keep_if_worse=keep_if_worse, run=run)
+            lin, held, moved = built[-1], run.held, np.flatnonzero(built[-1].moved)
+            assert nxt is run.profile and run.lin is (lin if nxt is profile else None)
+            assert _same_bits(run.rows, profile_rows(problem, nxt))
             assert (held.tokens[moved] == lin.tokens[moved]).all()
             assert _same_bits(held.rows[moved],
                               contribution_rows(problem, moved, lin.tokens[moved]))
-            profile = nxt
 
 
 def _bits(records):
@@ -486,23 +492,20 @@ def _bits(records):
 
 
 def _reference_sfw(problem, n_iters, schedule, seed, rule, keep_if_worse, use_active_set):
-    """sfw_run rebuilt from sfw_step calls, each of which rebuilds the profile's rows
-    and allocates its own candidate buffers; a full solve passes its linearization
-    with the fresh ``_HeldRows`` it was built in."""
+    """sfw_run rebuilt from sfw_step calls, each on a fresh run at its profile, which
+    rebuilds the profile's rows and allocates its own candidate buffers; a full solve
+    runs with ``full`` set, and the closed loop's gap comes from that run."""
     closed_loop = isinstance(rule, LineSearchSfwStep)
     profile, records = zero_gradient_profile(problem), []
     for k in range(n_iters):
-        lin = state = None
+        run = beta = None
         n_draws = schedule.size(k, problem.n_agents)
         if closed_loop or not use_active_set:
-            rows, held = profile_rows(problem, profile), _HeldRows(problem)
-            lin = _linearize(problem, profile, rows, held, range(problem.n_agents))
-            state = (rows, held, stochastic_fw._workspace(n_draws, problem.n_agents,
-                                                          problem.total_dim))
-        omega = rule.omega(k, beta=lin.beta_rows) if closed_loop else rule.omega(k)
+            run = _Run(problem, profile, n_draws, full=True)
+            beta = _linearize(problem, run).beta_rows if closed_loop else None
         profile, record = sfw_step(
-            problem, profile, k, omega, n_draws, _rng.stream(seed, _rng.BERNOULLI, 0, k),
-            keep_if_worse=keep_if_worse, linearization=lin, rows=state,
+            problem, profile, k, rule.omega(k, beta=beta), n_draws,
+            _rng.stream(seed, _rng.BERNOULLI, 0, k), keep_if_worse=keep_if_worse, run=run,
         )
         records.append(record)
     nan = math.nan
@@ -561,9 +564,9 @@ def _asks_by_iterate(problem, path, seed, n_draws, n_iters):
     counting, calls = CountingInstance(problem), []
     linearize = stochastic_fw._linearize
 
-    def watched(instance, profile, *rest):
-        before = len(counting.asked)
-        lin = linearize(instance, profile, *rest)
+    def watched(instance, run, *rest):
+        before, profile = len(counting.asked), run.profile
+        lin = linearize(instance, run, *rest)
         calls.append((profile, [i for _, _, asked in counting.asked[before:] for i in asked]))
         return lin
 
@@ -625,15 +628,17 @@ class TestNoChangeStep:
             at[0] = k
             return step(problem, profile, k, *rest, **kwargs)
 
-        def watched_apply(profile, *rest):
-            nxt = apply(profile, *rest)
-            taken.append((at[0], profile, nxt))
-            return nxt
+        def watched_apply(run, switches):
+            profile, lin = run.profile, run.lin
+            moved = apply(run, switches)
+            taken.append((at[0], moved, run.profile is profile, run.lin is lin))
+            return moved
 
         monkeypatch.setattr(stochastic_fw, "sfw_step", watched_step)
         monkeypatch.setattr(stochastic_fw, "_apply_switches", watched_apply)
         _, records = sfw_run(problem, 7, ConstantSchedule(3), 603785, use_active_set=False)
-        kept = {k for k, profile, nxt in taken if nxt is profile}
+        kept = {k for k, moved, same, held in taken if not moved}
+        assert all(same == held == (not moved) for _, moved, same, held in taken)
         assert kept == {5, 6} and not records[5].accepted and not records[6].accepted
 
     def test_sfw_step_from_a_fixed_point(self):
@@ -759,21 +764,20 @@ class TestCandidateWorkspace:
         y = gen.random(q) * n / 2
         y[gen.random(q) < 0.2] = -0.0
         profile = DecisionProfile((0,) * n)
-        lin = stochastic_fw._Linearization(
-            profile, Aggregate(y, problem.block_dims), None, tokens=np.ones(n, dtype=object),
-            delta=delta, solved=np.ones(n, dtype=bool), moved=np.ones(n, dtype=bool),
+        run = _Run(problem, profile, n_draws + 5 if run_state else n_draws)
+        if run_state:  # larger, dirty buffers: only their leading rows may be read
+            run.floats.fill(math.nan)
+            run.points.fill(math.nan)
+        y = Aggregate(y, problem.block_dims)  # a ybar already in place: no gap is taken
+        run.lin = stochastic_fw._Linearization(
+            y, None, tokens=np.ones(n, dtype=object), delta=delta,
+            solved=np.ones(n, dtype=bool), moved=np.ones(n, dtype=bool), ybar=y,
         )
-        rows = None
-        if run_state:  # a larger, dirty workspace: only its leading rows may be read
-            work = stochastic_fw._workspace(n_draws + 5, n, q)
-            for buffer in work:
-                buffer.fill(math.nan)
-            rows = (np.zeros((n, q)), _HeldRows(problem), work)
         nxt, _ = sfw_step(problem, profile, 0, omega, n_draws, _rng.stream(seed),
-                          keep_if_worse=False, linearization=lin, rows=rows)
+                          keep_if_worse=False, run=run)
 
         switches = _rng.stream(seed).random((n_draws, n)) < omega
-        points = y + (switches.astype(float) @ delta) / n
+        points = y.values + (switches.astype(float) @ delta) / n
         values = problem.inner.f_value_batch(points)
         assert all(len(b) <= block for b in problem.points)
         assert _same_bits(np.concatenate(problem.points), points)
@@ -815,17 +819,19 @@ class TestCandidateWorkspace:
         "schedule", [ConstantSchedule(40), QuadraticSchedule(24.0), UpAndDown(3)],
         ids=["const:40", "quad:24", "up-and-down"],
     )
-    def test_one_workspace_per_run(self, miqp_medium, monkeypatch, schedule):
+    def test_one_buffer_allocation_per_run(self, miqp_medium, monkeypatch, schedule):
+        # Each ``_Run`` allocates its buffers once; a step given a run allocates none.
         sizes = []
 
-        def counted(n_max, n_agents, dim):
-            sizes.append(n_max)
-            return workspace(n_max, n_agents, dim)
+        class Counted(_Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append((self.floats.shape, self.points.shape))
 
-        workspace = stochastic_fw._workspace
-        monkeypatch.setattr(stochastic_fw, "_workspace", counted)
+        monkeypatch.setattr(stochastic_fw, "_Run", Counted)
         sfw_run(miqp_medium, 25, schedule, seed=1)
-        assert sizes == [max(schedule.size(k, 30) for k in range(25))]
+        n_max = max(schedule.size(k, 30) for k in range(25))
+        assert sizes == [((n_max, 30), (n_max, miqp_medium.total_dim))]
         sfw_run(miqp_medium, 25, schedule, seed=1, rule=LineSearchSfwStep.from_constants(
             compute_constants(miqp_medium)))
         assert len(sizes) == 2
@@ -843,8 +849,7 @@ class TestOneAggregateSum:
         problem = aggfw.generate(m, n, seed=seed)
         tokens = np.random.default_rng(profile_seed).integers(0, 2, n).tolist()
         profile = DecisionProfile(tokens)
-        lin = _linearize(problem, profile, profile_rows(problem, profile), _HeldRows(problem),
-                         range(n))
+        lin = _linearize(problem, _Run(problem, profile))
         y = aggregate_of(problem, profile)
         assert lin.y.values.tobytes() == y.values.tobytes()
         ybar = aggregate_of(problem, DecisionProfile(lin.tokens))
