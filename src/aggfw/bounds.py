@@ -199,7 +199,7 @@ def nonconvexity_measure(points, resolution: float = 0.01) -> float:
     sqnorms = np.einsum("ij,ij->i", pts, pts)
     rhs = np.concatenate([grid, np.ones((grid.shape[0], 1))], axis=1).T  # (q+1, G)
     best = np.full(grid.shape[0], np.inf)
-    scale = max(1.0, float(np.abs(rhs).max()))
+    scale = float(np.abs(rhs).max())  # >= 1: rhs holds a row of ones
 
     for size in range(1, dim + 2):
         for subset in itertools.combinations(range(n_points), size):

@@ -111,20 +111,20 @@ def render_line_chart(
     path: str,
     series: list[tuple[str, list[float], list[float]]],
     title: str,
-    log_log: bool = True,
 ) -> None:
     """Deterministic SVG chart of gap against iteration k, then ``wrote <path>`` on stdout.
 
     The viewBox is a fixed 800x600; the plot frame spans x 80..780 and y 50..540.
     """
-    cleaned = []
-    for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y) and (not log_log or (x > 0 and y > 0))]
-        if pts:
-            cleaned.append((label, pts))
-    if not cleaned and log_log:
-        return render_line_chart(path, series, title, log_log=False)
+    for log_log in (True, False):  # with no positive point, the axes fall back to linear
+        cleaned = []
+        for label, xs, ys in series:
+            pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(x)
+                   and math.isfinite(y) and (not log_log or (x > 0 and y > 0))]
+            if pts:
+                cleaned.append((label, pts))
+        if cleaned:
+            break
 
     px, x_ticks = _axis([x for _, pts in cleaned for x, _ in pts] or [1.0], log_log, 80.0, 700.0)
     py, y_ticks = _axis([y for _, pts in cleaned for _, y in pts] or [1.0], log_log, 540.0, -490.0)

@@ -180,11 +180,9 @@ def fw_with_selection(
     n_iters: int,
     n_select: int,
     seed: int,
-    rule: StepRule | None = None,
     zeta: float = 0.1,
-    initial: DecisionProfile | None = None,
 ) -> FwSelectionResult:
-    """Frank-Wolfe followed by best-of-``n_select`` sampling of the iterate.
+    """Canonical-step Frank-Wolfe followed by best-of-``n_select`` sampling of the iterate.
 
     Also reports the draw count the selection guarantee asks for at
     confidence ``1 - zeta`` (only defined while the iteration count does
@@ -194,7 +192,7 @@ def fw_with_selection(
     n_select, seed = _count(n_select, "n_select"), _count(seed, "seed", 0)
     if not 0 < zeta < 1:  # a NaN fails here too
         raise ValueError(f"confidence level zeta must lie in (0, 1), got {zeta}")
-    profile, records = fw_run(problem, n_iters, rule=rule, initial=initial)
+    profile, records = fw_run(problem, n_iters)
     constants = compute_constants(problem)
     recommended = None
     if n_iters <= problem.n_agents:

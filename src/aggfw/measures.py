@@ -51,11 +51,9 @@ def _combine(base, extra, agents):
     if bad.any():
         row = int(bad.argmax())
         raise ValueError(f"atom weights for agent {agents[row]} sum to {total[row]}, expected 1")
+    # A checked row of S slots has an atom of weight >= (1 - 1e-12)/S: it is kept for S < 1e11.
     keep = weights >= PRUNE_WEIGHT
     kept_sizes = keep.sum(axis=0)
-    if not kept_sizes.all():
-        agent = agents[int(kept_sizes.argmin())]
-        raise ValueError(f"all atoms of agent {agent} fell below the prune threshold")
     if (kept_sizes == sizes).all():  # nothing pruned: each column's atoms already lead it
         return (weights[: sizes.max(initial=0)] / total).T, tokens[: sizes.max(initial=0)].T, sizes
     order = np.argsort(~keep, axis=0, kind="stable")[: kept_sizes.max()]  # kept first
@@ -197,14 +195,14 @@ class MeasureProfile:
         """(1/N) sum_i E_mu_i[g_i]."""
         return rows_aggregate(problem, self._means(problem))
 
-    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _sampling_table(self) -> np.ndarray:
         """Each row's ``np.cumsum`` of weights but its last atom, +inf past its
-        support, as an (N, S - 1) array built on first use; and the tokens."""
+        support, as an (N, S - 1) array built on first use."""
         if self._table is None:
             cdf = np.cumsum(self.weights[:, :-1], axis=1)
             cdf[np.arange(cdf.shape[1]) >= self.sizes[:, None] - 1] = np.inf
             self._table = cdf
-        return self._table, self.tokens
+        return self._table
 
     def __getitem__(self, i: int) -> DiscreteMeasure:
         agent = range(self.n_agents)[i]
@@ -251,6 +249,8 @@ def _variance(problem: ProblemInstance, measure: DiscreteMeasure, columns: slice
 
 def contribution_variance(problem: ProblemInstance, measure: DiscreteMeasure, block: int) -> float:
     """Variance of the block-j contribution under the measure."""
+    if (block := _count(block, "block", 0)) >= problem.n_blocks:
+        raise ValueError(f"block {block} out of range for {problem.n_blocks} blocks")
     start = sum(problem.block_dims[:block])
     return _variance(problem, measure, slice(start, start + problem.block_dims[block]))
 
@@ -273,7 +273,7 @@ def sample_profile(profile: MeasureProfile, rng: np.random.Generator) -> Decisio
 
 def _sample_columns(profile: MeasureProfile, rng: np.random.Generator) -> np.ndarray:
     """Each agent's sampled atom column, from one ``rng.random(N)`` call."""
-    cdf, _ = profile._sampling_table()
+    cdf = profile._sampling_table()
     return (cdf <= rng.random(profile.n_agents)[:, None]).sum(axis=1)
 
 

@@ -231,7 +231,6 @@ def reference_relaxed_optimum(
     value = instance.box_objective(x)
     iterations = 0
     check_every = 8
-    converged = False
     for iterations in range(1, max_iters + 1):
         x_next = project(z - step * instance.box_gradient(z))
         value_next = instance.box_objective(x_next)
@@ -243,14 +242,11 @@ def reference_relaxed_optimum(
         z = x_next + ((t_momentum - 1.0) / t_next) * (x_next - x)
         x, value, t_momentum = x_next, value_next, t_next
         if iterations % check_every == 0 and residual_norm(x) <= tol:
-            converged = True
             break
-    if not converged and residual_norm(x) > tol:
-        raise ReferenceSolverError(
-            f"projected gradient stopped at residual {residual_norm(x):.3e} > tol {tol:.1e} "
-            f"after {iterations} iterations",
-            residual=residual_norm(x),
-        )
+    else:  # no check passed: the last iterate must pass on its own
+        if (residual := residual_norm(x)) > tol:
+            raise ReferenceSolverError(f"projected gradient stopped at residual {residual:.3e} "
+                                       f"> tol {tol:.1e} after {iterations} iterations", residual)
 
     x = _polish_on_face(instance, x)
     final_residual = residual_norm(x)
@@ -268,9 +264,9 @@ def reference_relaxed_optimum(
     )
 
 
-def _polish_on_face(instance: MiqpInstance, x: np.ndarray, edge: float = 1e-8) -> np.ndarray:
+def _polish_on_face(instance: MiqpInstance, x: np.ndarray) -> np.ndarray:
     """Exact least-squares refit on the face identified by x; keep it only if better."""
-    free = (x > edge) & (x < 1.0 - edge)
+    free = (x > 1e-8) & (x < 1.0 - 1e-8)
     if not free.any():
         return x
     a, target = instance.matrix, instance.target

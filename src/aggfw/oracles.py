@@ -37,16 +37,16 @@ class BruteForceResult:
     count: int
 
 
-def brute_force_optimum(problem: ProblemInstance, cap: int = _ENUMERATION_CAP) -> BruteForceResult:
-    """Enumerate every decision profile and return the exact minimum.
+def brute_force_optimum(problem: ProblemInstance) -> BruteForceResult:
+    """Enumerate every decision profile, at most 2**20, and return the exact minimum.
 
     All profiles attaining the minimum (by exact float equality) are
     collected in enumeration order.
     """
     universes = [tuple(problem.decision_universe(i)) for i in range(problem.n_agents)]
     count = math.prod(len(u) for u in universes)
-    if count > cap:
-        raise ValueError(f"enumeration of {count} profiles exceeds the cap of {cap}")
+    if count > _ENUMERATION_CAP:
+        raise ValueError(f"enumeration of {count} profiles exceeds the cap of {_ENUMERATION_CAP}")
     best = np.inf
     optimizers: list[DecisionProfile] = []
     for decisions in itertools.product(*universes):
@@ -60,7 +60,7 @@ def brute_force_optimum(problem: ProblemInstance, cap: int = _ENUMERATION_CAP) -
     return BruteForceResult(value=best, optimizers=tuple(optimizers), count=count)
 
 
-def check_recursion_bound(c: float, u, gamma, rtol: float = 1e-9) -> bool:
+def check_recursion_bound(c: float, u, gamma) -> bool:
     """Verify the canonical-step recursion bound on explicit sequences.
 
     First checks the hypothesis
@@ -68,7 +68,7 @@ def check_recursion_bound(c: float, u, gamma, rtol: float = 1e-9) -> bool:
     for every consecutive pair (raising ``RecursionHypothesisError`` at
     the first violated step), then checks the conclusion
     ``gamma_k <= 4C/k + sum_{k'<k} (k'+1)(k'+2)/(k(k+1)) u_{k'}``
-    for all k >= 1.  Comparisons carry a tiny relative slack to absorb
+    for all k >= 1.  Comparisons carry a relative slack of 1e-9 to absorb
     floating-point noise on sequences built at exact equality.
     """
     u = np.asarray(u, dtype=float)
@@ -77,7 +77,7 @@ def check_recursion_bound(c: float, u, gamma, rtol: float = 1e-9) -> bool:
         raise ValueError(
             f"need one more gamma than u terms, got {gamma.size} gammas and {u.size} u's"
         )
-    slack = rtol * max(1.0, abs(c), float(np.abs(gamma).max(initial=0.0)))
+    slack = 1e-9 * max(1.0, abs(c), float(np.abs(gamma).max(initial=0.0)))
     for k in range(u.size):
         omega = 2.0 / (k + 2.0)
         rhs = (1.0 - omega) * gamma[k] + c * omega**2 + u[k]

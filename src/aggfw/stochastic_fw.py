@@ -75,6 +75,8 @@ class SfwRecord:
     ``beta`` is NaN when the active-set speed-up skipped part of the
     subproblem resolution (the dual gap needs every agent's best
     response).  ``accepted`` tells whether the iterate actually moved.
+    ``active_count`` holds the agents that switch in some candidate (``sfw_step``), the N
+    subproblems solved (``stopping_time_run``), or 0 (a run's terminal record).
     """
 
     k: int
@@ -319,7 +321,7 @@ def sfw_run(
                         keep_if_worse=keep_if_worse, run=run)[1]
 
     return _iterate(problem, n_iters, seed, initial, callback, step,
-                    n_max=max(sizes, default=1), full=closed_loop or not use_active_set)
+                    n_max=max(sizes), full=closed_loop or not use_active_set)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,13 @@ class TestComputeConstants:
         with pytest.raises(ValueError, match="nonnegative"):
             compute_constants(miqp_small)
 
+    @pytest.mark.parametrize("name", ["lipschitz_f", "lipschitz_grad", "diameters"])
+    def test_rejects_arrays_of_the_wrong_shape(self, miqp_small, monkeypatch, name):
+        values = np.array(getattr(miqp_small, name), dtype=float)[..., :-1]
+        monkeypatch.setattr(type(miqp_small), name, property(lambda self: values))
+        with pytest.raises(ValueError, match="constant arrays do not match"):
+            compute_constants(miqp_small)
+
 
 class TestDOfK:
     def test_top_one_is_max(self):
@@ -283,6 +290,10 @@ class TestNonconvexityMeasure:
     def test_two_point_set_is_half_exactly(self):
         assert nonconvexity_measure([[0.0], [1.0]]) == 0.5
 
+    def test_a_repeated_point_changes_nothing(self):
+        # The support {0, 0} is affinely dependent: its solve is singular and skipped.
+        assert nonconvexity_measure([[0.0], [0.0], [1.0]]) == 0.5
+
     def test_three_point_chain(self):
         # The worst mean sits halfway into a sub-segment: variance 1/16.
         assert nonconvexity_measure([[0.0], [0.5], [1.0]]) == pytest.approx(0.25, abs=1e-15)
@@ -322,3 +333,12 @@ class TestNonconvexityMeasure:
             nonconvexity_measure(np.zeros((65, 1)))
         with pytest.raises(ValueError):
             nonconvexity_measure(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("points, resolution, message", [
+        (np.zeros((2, 2, 2)), 0.01, r"points must form a \(P, q\) array"),
+        ([[0.0], [math.nan]], 0.01, "points must be finite"),
+        ([[0.0], [1.0]], 0, r"resolution must lie in \(0, 1\], got 0"),
+    ], ids=["3-d", "nan-point", "zero-resolution"])
+    def test_rejects_malformed_inputs(self, points, resolution, message):
+        with pytest.raises(ValueError, match=message):
+            nonconvexity_measure(points, resolution=resolution)

@@ -299,6 +299,9 @@ class TestMisuse:
             ["bounds", "--eps", "-1"],
             ["bounds", "--eps", "nan"],
             ["bounds", "--eps", "0.5,inf"],
+            ["bounds", "--eps", "x"],
+            ["bounds", "--zeta", "2"],
+            ["run-sfw", "--iters", "5", "--seeds", ","],
             ["run-fw", "--iters", "5", "--select-n", "-3"],
         ],
     )
@@ -342,6 +345,8 @@ class TestMisuse:
             ("run-fw", {"instance": 3}),  # not file descriptor 3
             ("bounds", {"out": ""}),
             ("run-sfw", {"schedule": ""}),
+            ("run-sfw", {"rule": "newton"}),
+            ("sweep", {"algorithm": "gd"}),
         ],
     )
     def test_mistyped_config_values_are_config_errors(
@@ -386,6 +391,12 @@ class TestMisuse:
         captured = capsys.readouterr()
         assert f"{key} must be a non-empty string" in captured.err
         assert captured.out == "" and list(work.iterdir()) == []
+
+    def test_config_file_holding_a_json_list_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"iters": 3}]))
+        assert main(["run-fw", "--config", str(path)]) == EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_integer_strings_and_integral_numbers_are_accepted(self, tmp_path, instance_path):
         config = {"instance": str(instance_path), "iters": "5", "seeds": [2.0],

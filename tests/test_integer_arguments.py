@@ -10,7 +10,7 @@ import aggfw
 from aggfw import rng as _rng
 from aggfw.bounds import compute_constants, sample_size_for_confidence, sfw_tail_constants
 from aggfw.frank_wolfe import fw_run, fw_with_selection
-from aggfw.measures import DiscreteMeasure, MeasureProfile, select_best
+from aggfw.measures import DiscreteMeasure, MeasureProfile, contribution_variance, select_best
 from aggfw.problems import zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
@@ -70,6 +70,9 @@ SITES = {
     "sfw_tail_constants.n_agents": (
         "n_agents", 1, lambda p, v: sfw_tail_constants(5, 1.0, ConstantSchedule(2), v),
     ),
+    "contribution_variance.block": (
+        "block", 0, lambda p, v: contribution_variance(p, DiscreteMeasure.dirac(0, 1), v),
+    ),
     "DiscreteMeasure.agent": ("agent", 0, lambda p, v: DiscreteMeasure(v, [(1.0, 0)])),
     "DiscreteMeasure.dirac": ("agent", 0, lambda p, v: DiscreteMeasure.dirac(v, 0)),
     "generate.m": ("m", 1, lambda p, v: aggfw.generate(v, 4, 1)),
@@ -97,6 +100,12 @@ def test_every_entry_point_rejects_the_same_bad_integers(miqp_small, site, bad):
     message = f"{name} must be an integer of at least {minimum}, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(miqp_small, value)
+
+
+@pytest.mark.parametrize("words", [(2**64, 0, 0), (0, 2**64, 0), (0, 0, 2**64)])
+def test_stream_rejects_address_words_past_64_bits(words):
+    with pytest.raises(ValueError, match=re.escape(f"stream address words out of range: {words}")):
+        _rng.stream(0, *words)
 
 
 def replay(records):

@@ -139,6 +139,11 @@ class TestMix:
         with pytest.raises(ValueError):
             mix(a, a, 1.5)
 
+    def test_rejects_profiles_with_different_agent_counts(self):
+        a, b = (MeasureProfile.dirac(DecisionProfile((0,) * n)) for n in (1, 2))
+        with pytest.raises(ValueError, match="different agent counts"):
+            mix(a, b, 0.5)
+
     def test_mean_contributions_mix_affinely(self, miqp_small):
         gen = np.random.default_rng(8)
         mu1 = aggfw.bernoulli_profile(miqp_small, gen.random(10))
@@ -161,6 +166,12 @@ class TestContributionVariance:
         inst = aggfw.MiqpInstance(np.array([[1.0]]), np.array([0.0]))
         m = DiscreteMeasure(0, [(0.5, 0), (0.5, 1)])
         assert contribution_variance(inst, m, 0) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [3, 4])
+    def test_block_past_the_last_raises(self, block):
+        problem, m = aggfw.generate(3, 4, seed=1), DiscreteMeasure(0, [(0.5, 0), (0.5, 1)])
+        with pytest.raises(ValueError, match=f"block {block} out of range for 3 blocks"):
+            contribution_variance(problem, m, block)
 
     def test_three_atom_measure_against_direct_sum(self, table_instance):
         m = DiscreteMeasure(0, [(0.2, 0), (0.5, 1), (0.3, 2)])
@@ -266,6 +277,15 @@ class TestSelectBest:
         mu = MeasureProfile.dirac(DecisionProfile((0,) * 10))
         with pytest.raises(ValueError):
             select_best(miqp_small, mu, 0, _rng.stream(0))
+
+    @pytest.mark.parametrize("call", [
+        relaxed_objective,
+        lambda problem, mu: select_best(problem, mu, 2, _rng.stream(0)),
+    ], ids=["relaxed_objective", "select_best"])
+    def test_rejects_a_profile_of_the_wrong_size(self, miqp_small, call):
+        mu = MeasureProfile.dirac(DecisionProfile((0,) * 9))
+        with pytest.raises(ValueError, match="profile has 9 measures, problem has 10 agents"):
+            call(miqp_small, mu)
 
 
 class TestSamplingLaw:

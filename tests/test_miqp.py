@@ -54,6 +54,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             aggfw.generate(0, 5, seed=0)
 
+    @pytest.mark.parametrize("matrix, target, message", [
+        (np.ones(3), np.ones(3), r"matrix must be \(M, N\) with a length-M target"),
+        (np.ones((2, 3)), np.array([1.0, np.nan]), "instance data must be finite"),
+    ], ids=["1-d-matrix", "nan-target"])
+    def test_constructor_rejects_malformed_data(self, matrix, target, message):
+        with pytest.raises(ValueError, match=message):
+            aggfw.MiqpInstance(matrix, target)
+
 
 class TestBestResponse:
     def test_positive_gradient_prefers_zero(self, miqp_small):

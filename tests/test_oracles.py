@@ -160,3 +160,9 @@ class TestBernoulliIncrement:
                 n_samples=10,
                 n_inner=1,
             )
+
+    @pytest.mark.parametrize("omega", [-0.1, 1.5])
+    def test_rejects_omega_outside_unit_interval(self, omega):
+        with pytest.raises(ValueError, match=rf"omega must lie in \[0, 1\], got {omega}"):
+            mc_check_bernoulli_increment(omega, 1.0, lambda a, b, c: b, self.gaussian,
+                                         self.gaussian, np.random.default_rng(0))

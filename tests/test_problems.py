@@ -43,6 +43,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             Aggregate(np.array([1.0, 2.0, 3.0]), block_dims=(2, 2))
 
+    def test_rejects_a_2d_array(self):
+        with pytest.raises(ValueError, match="aggregate values must form a 1-D vector"):
+            Aggregate(np.ones((2, 2)))
+
     @pytest.mark.parametrize("dims", [(2.7, 1.2), (2.0, 1), (True, 2), (np.True_, 2), (0, 3),
                                       (-1, 4), (3, 0), ("2", 1)])
     def test_rejects_block_dims_that_are_not_counts(self, dims):

@@ -12,6 +12,7 @@ from aggfw import rng as _rng
 from aggfw import stochastic_fw
 from aggfw.bounds import ProblemConstants, compute_constants
 from aggfw.frank_wolfe import CanonicalStep, LineSearchFwStep, LineSearchSfwStep, dual_gap_beta
+from aggfw.frank_wolfe import fw_run
 from aggfw.problems import Aggregate, DecisionProfile, linearized_best_response, objective
 from aggfw.problems import aggregate_of, contribution_rows, profile_rows, zero_gradient_profile
 from aggfw.stochastic_fw import (
@@ -170,6 +171,8 @@ class TestSfwStep:
             sfw_step(miqp_small, start, 0, 1.5, 1, _rng.stream(0))
         with pytest.raises(ValueError):
             sfw_step(miqp_small, start, 0, 0.5, 0, _rng.stream(0))
+        with pytest.raises(ValueError, match=r"switch probability must lie in \[0, 1\], got 1.5"):
+            stopping_time_step(miqp_small, start, 4, 1.5, _rng.stream(0))
 
     @pytest.mark.parametrize("n_draws", [True, 2.5, 3.0, math.nan])
     def test_rejects_a_draw_count_that_is_not_an_integer(self, miqp_small, n_draws):
@@ -376,6 +379,15 @@ class TestNonFiniteValues:
         with pytest.raises(ValueError, match="non-finite objective at iteration 4"):
             stopping_time_step(inst, DecisionProfile((0, 0)), 4, 1.0 / 3.0, _rng.stream(0),
                                max_draws=20)
+
+    def test_fw_run_rejects_a_nan_relaxed_objective(self):
+        with pytest.raises(ValueError, match="non-finite relaxed objective at iteration 0"):
+            fw_run(NanAwayFrom(7.0), 3)
+
+    def test_rows_objective_names_the_nan_block(self):
+        inst = TableInstance([[[0.0, 0.0], [1.0, 1.0]]] * 2, target=[1.0, math.nan])
+        with pytest.raises(ValueError, match="non-finite objective value in block 1"):
+            objective(inst, DecisionProfile((0, 1)))
 
 
 class TestCarriedRows:
