@@ -163,17 +163,17 @@ _WEIGHT_TOL = 1e-12
 def nonconvexity_measure(points, resolution: float = 0.01) -> float:
     """Grid lower bound on the nonconvexity measure of a finite point set.
 
-    For each grid point ``y`` of the convex hull, the minimal variance of
-    a probability measure on the set with mean ``y`` equals the linear
-    program ``min sum_s w_s |p_s|^2`` over simplex weights with mean
-    ``y``, minus ``|y|^2``.  Basic optimal solutions are supported on
-    affinely independent subsets of at most ``q + 1`` points, so the
-    program is solved exactly by enumerating those supports.  The grid
-    is an axis-aligned lattice of the bounding box with relative spacing
-    ``resolution`` per axis; grid points outside the hull have no
-    feasible support and drop out on their own.  The returned value is
-    the square root of the grid maximum, a lower bound on the true
-    measure up to the grid resolution.
+    For each grid point ``y`` of the convex hull, the minimal variance of a probability
+    measure on the set with mean ``y`` equals the linear program ``min sum_s w_s |p_s|^2``
+    over simplex weights with mean ``y``, minus ``|y|^2``.  Basic optimal solutions are
+    supported on affinely independent subsets of at most ``q + 1`` points, so the program is
+    solved exactly by enumerating those supports.  The grid is an axis-aligned lattice of
+    the bounding box with relative spacing ``resolution`` per axis; grid points outside the
+    hull have no feasible support and drop out on their own.  The returned value is the
+    square root of the grid maximum, a lower bound on the true measure up to the grid
+    resolution.  0.0 may also mean that no grid point fell within ``_FEAS_TOL`` of a
+    lower-dimensional hull, such as a tilted triangle in 3-D; a finer ``resolution`` may
+    reach the hull.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:

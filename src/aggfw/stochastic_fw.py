@@ -123,13 +123,13 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
 class _Linearization:
     """The objective linearized at its run's iterate, with the solved agents' moves.
 
-    ``tokens`` holds the iterate's tokens with each agent marked ``solved`` at its best
-    response to ``grad``, ``moved`` those whose response differs under ``==``, and ``delta``
-    the moved agents' response rows, which the run's ``_HeldRows`` holds, less their own.
-    ``ybar`` and both gaps need every agent's best response; until a request for every
-    agent they are None and NaN.  ``beta`` takes ybar = y + mean(delta), ``beta_rows`` the
-    mean of the best-response rows: the two differ in the last bits, and the recorded
-    trajectories pin the first in the records and the second in the closed-loop step sizes.
+    ``tokens`` holds the iterate's tokens with each agent marked ``solved`` at its best response to
+    ``grad``, ``moved`` those whose response differs under ``==``, and ``delta`` the moved agents'
+    response rows, which the run's ``_HeldRows`` holds, less their own.  ``ybar`` and both gaps
+    need every agent's best response; until a request for every agent they are None and NaN.
+    ``value``, f_value(y), is None until ``sfw_step`` asks.  ``beta`` takes ybar = y + mean(delta),
+    ``beta_rows`` the mean of the best-response rows: the two differ in the last bits, and the
+    recorded trajectories pin the first in the records and the second in the closed-loop step sizes.
     """
 
     y: Aggregate
@@ -141,6 +141,7 @@ class _Linearization:
     ybar: Aggregate | None = None
     beta: float = math.nan
     beta_rows: float = math.nan
+    value: float | None = None
 
 
 class _Run:
@@ -198,36 +199,36 @@ def sfw_step(
 ) -> tuple[DecisionProfile, SfwRecord]:
     """One stochastic Frank-Wolfe update from ``profile``.
 
-    Bernoulli switches are presampled first, so only the agents that
-    actually switch in some candidate get their subproblem solved,
-    unless the run solves every agent; the trajectory is identical either
-    way.  The record's ``beta`` is NaN unless the step asked every agent.
-    With ``keep_if_worse`` the iterate stays put when every candidate is
-    worse than the current profile (the objective then never increases);
-    otherwise the best candidate is taken unconditionally; a candidate that
-    changes no token returns ``profile`` itself.  A run loop passes its ``_Run``
-    (its ``profile`` is ``profile``, its buffers hold ``n_draws`` rows or more).
+    Bernoulli switches are presampled first, so only the agents that actually switch in some
+    candidate get their subproblem solved, unless the run solves every agent; the trajectory
+    is identical either way.  The record's ``beta`` is NaN unless the step asked every agent.
+    With ``keep_if_worse`` the iterate stays put when every candidate is worse than the
+    current profile (the objective then never increases); otherwise the best candidate is
+    taken unconditionally; a candidate that changes no token returns ``profile`` itself.
+    At ``omega = 0`` every candidate is the iterate, so the step draws and scores one row: it
+    reads N uniforms from ``rng``, not ``n_draws``·N, and records ``n_draws`` all the same.
+    A run loop passes its ``_Run`` (its ``profile`` is ``profile``, its buffers hold
+    ``n_draws`` rows or more).
     """
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
-    n_draws = _count(n_draws, "n_draws")
-    n = problem.n_agents
+    n_draws, n = _count(n_draws, "n_draws"), problem.n_agents
     run = run if run is not None else _Run(problem, profile, n_draws)
-    switches = bernoulli_matrix(rng, n_draws, n, omega)
+    switches = bernoulli_matrix(rng, n_draws if omega > 0.0 else 1, n, omega)
     active = np.flatnonzero(switches.any(axis=0))
     agents = None if run.full or active.size == n else active
     lin = _linearize(problem, run, agents)
-    value = problem.f_value(lin.y)
+    value = lin.value = problem.f_value(lin.y) if lin.value is None else lin.value
     _check_finite(value, k)
 
-    floats, points = run.floats[:n_draws], run.points[:n_draws]
+    floats, points = run.floats[:len(switches)], run.points[:len(switches)]
     np.copyto(floats, switches)
     np.matmul(floats, lin.delta, out=points)  # one product: BLAS bits follow its shape
     points /= n
     points += lin.y.values
-    candidate_values, step = np.empty(n_draws), max(_BLOCK // points.shape[1], 1)
-    for j in range(0, n_draws, step):
+    candidate_values, step = np.empty(len(switches)), max(_BLOCK // points.shape[1], 1)
+    for j in range(0, len(switches), step):
         candidate_values[j:j + step] = problem.f_value_batch(points[j:j + step])
     _check_finite(candidate_values, k)
     best = int(np.argmin(candidate_values))  # first occurrence wins ties
@@ -369,16 +370,12 @@ def stopping_time_step(
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     constants = constants if constants is not None else compute_constants(problem)
-    if max_draws is None:
-        max_draws = default_draw_cap(problem.n_agents, k)
-    max_draws = _count(max_draws, "max_draws")
     n, dims = problem.n_agents, problem.block_dims
+    max_draws = _count(default_draw_cap(n, k) if max_draws is None else max_draws, "max_draws")
     run = run if run is not None else _Run(problem, profile)
     lin = _linearize(problem, run)
-    mixed = (1.0 - omega) * lin.y.values + omega * lin.ybar.values
-    threshold = problem.f_value(Aggregate(mixed, dims)) + (
-        constants.c1 / 2.0 + constants.c0
-    ) * omega**2
+    mixed = Aggregate((1.0 - omega) * lin.y.values + omega * lin.ybar.values, dims)
+    threshold = problem.f_value(mixed) + (constants.c1 / 2.0 + constants.c0) * omega**2
     _check_finite(threshold, k)
 
     best_value, best_switches = np.inf, None
@@ -417,7 +414,8 @@ def stopping_time_run(
     rule = CanonicalStep()
 
     def step(k, run, stream):
-        value = rows_objective(problem, run.rows)
+        value = float(problem.f_block_values(_linearize(problem, run).y).sum())
+        _check_finite(value, k)
         result = stopping_time_step(
             problem, run.profile, k, rule.omega(k), stream,
             max_draws=max_draws, constants=constants, run=run,

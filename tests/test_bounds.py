@@ -294,6 +294,13 @@ class TestNonconvexityMeasure:
         # The support {0, 0} is affinely dependent: its solve is singular and skipped.
         assert nonconvexity_measure([[0.0], [0.0], [1.0]]) == 0.5
 
+    def test_a_tilted_triangle_reads_zero_on_a_coarse_grid(self):
+        # The hull is a plane triangle in 3-D: no point of the 3x3x3 grid lies on it.
+        triangle = [[0.0, 0.0, 0.0], [1.0, 0.3, 0.7], [0.4, 1.0, 0.1]]
+        assert nonconvexity_measure(triangle, resolution=0.5) == 0.0
+        assert nonconvexity_measure(triangle, resolution=0.05) == pytest.approx(
+            0.6284902544988268, rel=1e-12)
+
     def test_three_point_chain(self):
         # The worst mean sits halfway into a sub-segment: variance 1/16.
         assert nonconvexity_measure([[0.0], [0.5], [1.0]]) == pytest.approx(0.25, abs=1e-15)

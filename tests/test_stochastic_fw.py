@@ -752,6 +752,7 @@ class TestCandidateWorkspace:
     )
     @example(None, 100, 100, "several", None, 0, True)  # a split product differs here
     @example(7, 100, 3, "several", 0.5, 1, True)
+    @example(None, 100, 100, "several", 0.0, 2, True)  # one row scored for 3 blocks' worth
     def test_values_and_choice_match_the_reference(
         self, rows_per_block, q, n, case, omega, seed, run_state
     ):
@@ -791,9 +792,13 @@ class TestCandidateWorkspace:
         switches = _rng.stream(seed).random((n_draws, n)) < omega
         points = y.values + (switches.astype(float) @ delta) / n
         values = problem.inner.f_value_batch(points)
+        scored = n_draws
+        if omega == 0.0:  # every row is the iterate with row 0's bits: one row is scored
+            assert _same_bits(np.repeat(points[:1], n_draws, axis=0), points)
+            scored = 1
         assert all(len(b) <= block for b in problem.points)
-        assert _same_bits(np.concatenate(problem.points), points)
-        assert _same_bits(np.concatenate(problem.values), values)
+        assert _same_bits(np.concatenate(problem.points), points[:scored])
+        assert _same_bits(np.concatenate(problem.values), values[:scored])
         chosen = switches[int(np.argmin(values))]
         assert nxt.decisions == tuple(np.where(chosen, 1, 0).tolist())
 
@@ -847,6 +852,61 @@ class TestCandidateWorkspace:
         sfw_run(miqp_medium, 25, schedule, seed=1, rule=LineSearchSfwStep.from_constants(
             compute_constants(miqp_medium)))
         assert len(sizes) == 2
+
+
+class CountingStream:
+    """A generator wrapper counting the uniforms drawn through ``random``."""
+
+    def __init__(self, inner):
+        self.inner, self.uniforms = inner, 0
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self.inner.random(size)
+
+
+class TestZeroStepSize:
+    """At omega = 0 no agent switches, so a step draws and scores one candidate row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["philox", "pcg64"]), st.integers(0, 2**63 - 1),
+           st.integers(1, 400), st.integers(1, 400))
+    def test_bernoulli_matrix_is_constant_at_the_ends(self, kind, seed, n_draws, n_agents):
+        for omega, expected in ((0.0, False), (1.0, True)):
+            gen = _rng.stream(seed) if kind == "philox" else np.random.default_rng(seed)
+            switches = bernoulli_matrix(gen, n_draws, n_agents, omega)
+            assert switches.shape == (n_draws, n_agents)
+            assert (switches == expected).all()
+
+    @pytest.mark.parametrize("full", [False, True], ids=["lone", "full-run"])
+    def test_a_zero_step_reads_one_row_of_uniforms(self, miqp_medium, full):
+        problem, n_draws = miqp_medium, 40
+        n, start = problem.n_agents, zero_gradient_profile(problem)
+        lin = _linearize(problem, _Run(problem, start), None if full else [])
+        gen = CountingStream(_rng.stream(3, _rng.BERNOULLI, 0, 5))
+        run = _Run(problem, start, n_draws, full=True) if full else None
+        nxt, record = sfw_step(problem, start, 5, 0.0, n_draws, gen, run=run)
+        assert gen.uniforms == n
+        ref = _rng.stream(3, _rng.BERNOULLI, 0, 5)
+        assert _same_bits(gen.inner.random(7), ref.random(n + 7)[n:])  # N uniforms on
+        assert nxt == start
+        fields = (record.objective, record.beta, record.omega, record.n_draws,
+                  record.active_count, record.accepted)
+        assert repr(fields) == repr((problem.f_value(lin.y), lin.beta, 0.0, n_draws, 0, False))
+
+    def test_ls_sfw_stays_at_zero_and_scores_one_row_per_zero_step(self):
+        problem = RecordingBatches(aggfw.generate(100, 100, 0))
+        rule = LineSearchSfwStep.from_constants(compute_constants(problem.inner))
+        _, records = sfw_run(problem, 60, QuadraticSchedule(24.0), 0, rule=rule)
+        steps = records[:-1]
+        first = [r.omega for r in steps].index(0.0)  # 17 at this seed
+        assert 0 < first < len(steps) - 10
+        at_zero = steps[first]
+        for r in steps[first:]:
+            assert (r.omega, r.objective, repr(r.beta), r.accepted) == (
+                0.0, at_zero.objective, repr(at_zero.beta), False)
+        scored = sum(len(points) for points in problem.points)
+        assert scored == sum(r.n_draws if r.omega > 0.0 else 1 for r in steps)
 
 
 class TestOneAggregateSum:
