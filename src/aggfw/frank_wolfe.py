@@ -103,7 +103,7 @@ def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, gr
     A caller holding ``grad f(y)`` passes it as ``grad``.
     """
     grad = problem.f_grad(y) if grad is None else grad
-    value = grad.dot(y - ybar)
+    value = float(grad.values @ Aggregate(y.values - ybar.values, y.block_dims).values)
     if value < -_GAP_TOL:
         raise ValueError(f"dual gap {value:.3e} is negative beyond tolerance {_GAP_TOL:.1e}")
     return value
@@ -111,7 +111,9 @@ def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, gr
 
 def quadratic_curvature(problem: ProblemInstance, y: Aggregate, ybar: Aggregate) -> float:
     """Per-iteration curvature C_k = sum_j Ltilde_j |ybar_j - y_j|^2."""
-    return float(np.asarray(problem.lipschitz_grad, dtype=float) @ (ybar - y).block_sqnorms())
+    diff = Aggregate(ybar.values - y.values, y.block_dims).values
+    sqnorms = np.add.reduceat(diff**2, np.cumsum((0,) + y.block_dims[:-1]))
+    return float(np.asarray(problem.lipschitz_grad, dtype=float) @ sqnorms)
 
 
 def fw_run(
@@ -155,7 +157,7 @@ def fw_run(
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
         supports = profile.support_sizes  # state at k, before the update
         profile = mix(profile, MeasureProfile._of(ones, xbar[:, None], sizes), omega)  # Dirac xbar
-        y = (1.0 - omega) * y + omega * ybar
+        y = Aggregate((1.0 - omega) * y.values + omega * ybar.values, y.block_dims)
         record = FwRecord(k, value, beta, omega, supports,
                           (time.perf_counter() - start) * 1e3)
         records.append(record)

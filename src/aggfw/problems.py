@@ -41,7 +41,9 @@ class Aggregate:
     Stored as a single flat float64 vector of length ``q = sum_j q_j``
     together with the block dimensions.  Entries must stay finite; every
     construction re-validates, so non-finite intermediates surface as
-    hard errors instead of propagating.
+    hard errors instead of propagating.  It has no arithmetic: solvers
+    compute on ``.values`` and wrap a result where it enters a hook or a
+    gap, which keeps that check.
     """
 
     __slots__ = ("values", "block_dims")
@@ -56,25 +58,6 @@ class Aggregate:
             raise non_finite_error(values, block_dims)
         self.values = values
         self.block_dims = block_dims
-
-    def block_sqnorms(self) -> np.ndarray:
-        """Per-block squared Euclidean norms, as a length-M vector."""
-        starts = np.concatenate(([0], np.cumsum(self.block_dims)[:-1]))
-        return np.add.reduceat(self.values**2, starts)
-
-    def dot(self, other: "Aggregate") -> float:
-        return float(self.values @ other.values)
-
-    def __add__(self, other: "Aggregate") -> "Aggregate":
-        return Aggregate(self.values + other.values, self.block_dims)
-
-    def __sub__(self, other: "Aggregate") -> "Aggregate":
-        return Aggregate(self.values - other.values, self.block_dims)
-
-    def __mul__(self, scalar: float) -> "Aggregate":
-        return Aggregate(self.values * float(scalar), self.block_dims)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Aggregate({self.values!r}, blocks={len(self.block_dims)})"

@@ -116,7 +116,8 @@ def canonical_active_expectation(n_agents: int, k: int, n_draws: int) -> float:
     Valid under the canonical step size, for which the switch
     probability at iteration k is 2/(k+2).
     """
-    return n_agents * (1.0 - (k / (k + 2.0)) ** n_draws)
+    k, n_draws = _count(k, "k", 0), _count(n_draws, "n_draws")
+    return _count(n_agents, "n_agents") * (1.0 - (k / (k + 2.0)) ** n_draws)
 
 
 @dataclass
@@ -213,7 +214,7 @@ def sfw_step(
     start = time.perf_counter()
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
-    n_draws, n = _count(n_draws, "n_draws"), problem.n_agents
+    k, n_draws, n = _count(k, "k", 0), _count(n_draws, "n_draws"), problem.n_agents
     run = run if run is not None else _Run(problem, profile, n_draws)
     switches = bernoulli_matrix(rng, n_draws if omega > 0.0 else 1, n, omega)
     active = np.flatnonzero(switches.any(axis=0))
@@ -342,6 +343,7 @@ def default_draw_cap(n_agents: int, k: int) -> int:
     The expected number of draws is at most (1 - exp(-4N/(k+2)^3))^-2;
     the cap guards the (theoretically unbounded) worst case.
     """
+    n_agents, k = _count(n_agents, "n_agents"), _count(k, "k", 0)
     rejection = math.exp(-4.0 * n_agents / (k + 2.0) ** 3)
     if rejection >= 1.0 - 1e-9:
         return 1_000_000
@@ -369,8 +371,8 @@ def stopping_time_step(
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
+    k, n, dims = _count(k, "k", 0), problem.n_agents, problem.block_dims
     constants = constants if constants is not None else compute_constants(problem)
-    n, dims = problem.n_agents, problem.block_dims
     max_draws = _count(default_draw_cap(n, k) if max_draws is None else max_draws, "max_draws")
     run = run if run is not None else _Run(problem, profile)
     lin = _linearize(problem, run)

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +302,29 @@ class TestNonconvexityMeasure:
         assert nonconvexity_measure(triangle, resolution=0.5) == 0.0
         assert nonconvexity_measure(triangle, resolution=0.05) == pytest.approx(
             0.6284902544988268, rel=1e-12)
+
+    def test_no_grid_point_on_the_hull_returns_zero_early(self):
+        # No vertex of this tilted triangle is a corner of its bounding box, and at
+        # resolution 0.5 no grid point lies on it: every grid point drops out.
+        source, first = inspect.getsourcelines(nonconvexity_measure)
+        early = first + next(i for i, line in enumerate(source) if "return 0.0" in line)
+        lines, code = set(), nonconvexity_measure.__code__
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            value = nonconvexity_measure([[0, 0, 0.3], [1, 0.3, 0], [0.3, 1, 1]], resolution=0.5)
+        finally:
+            sys.settrace(previous)
+        assert value == 0.0
+        assert early in lines
 
     def test_three_point_chain(self):
         # The worst mean sits halfway into a sub-segment: variance 1/16.

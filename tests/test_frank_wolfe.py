@@ -186,7 +186,7 @@ class TestFwRun:
                 return -w * beta + 0.5 * curvature * w * w
 
             assert model(omega_ls) <= model(omega_can) + 1e-12
-            y = (1.0 - omega_ls) * y + omega_ls * ybar
+            y = Aggregate((1.0 - omega_ls) * y.values + omega_ls * ybar.values, y.block_dims)
 
     def test_support_growth_is_recorded(self, miqp_small):
         _, records = fw_run(miqp_small, 30)
@@ -233,7 +233,7 @@ def _reference_fw(problem, n_iters, rule):
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
         records.append(FwRecord(k, value, beta, omega, profile.support_sizes, 0.0))
         profile = mix(profile, MeasureProfile.dirac(xbar), omega)
-        y = (1.0 - omega) * y + omega * ybar
+        y = Aggregate((1.0 - omega) * y.values + omega * ybar.values, y.block_dims)
 
 
 def _bits(records):

@@ -14,6 +14,8 @@ from aggfw.measures import DiscreteMeasure, MeasureProfile, contribution_varianc
 from aggfw.problems import zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
+    canonical_active_expectation,
+    default_draw_cap,
     sfw_run,
     sfw_step,
     stopping_time_run,
@@ -46,6 +48,22 @@ SITES = {
         lambda p, v: stopping_time_step(
             p, zero_gradient_profile(p), 4, 1 / 3, _rng.stream(0), max_draws=v
         ),
+    ),
+    "sfw_step.k": (
+        "k", 0, lambda p, v: sfw_step(p, zero_gradient_profile(p), v, 0.5, 2, _rng.stream(0)),
+    ),
+    "stopping_time_step.k": (
+        "k", 0,
+        lambda p, v: stopping_time_step(p, zero_gradient_profile(p), v, 1 / 3, _rng.stream(0)),
+    ),
+    "default_draw_cap.k": ("k", 0, lambda p, v: default_draw_cap(10, v)),
+    "default_draw_cap.n_agents": ("n_agents", 1, lambda p, v: default_draw_cap(v, 3)),
+    "canonical_active_expectation.k": ("k", 0, lambda p, v: canonical_active_expectation(10, v, 2)),
+    "canonical_active_expectation.n_agents": (
+        "n_agents", 1, lambda p, v: canonical_active_expectation(v, 2, 2),
+    ),
+    "canonical_active_expectation.n_draws": (
+        "n_draws", 1, lambda p, v: canonical_active_expectation(10, 2, v),
     ),
     "fw_run.n_iters": ("n_iters", 1, lambda p, v: fw_run(p, v)),
     "sfw_run.n_iters": ("n_iters", 1, lambda p, v: sfw_run(p, v, ConstantSchedule(2), 0)),
@@ -106,6 +124,14 @@ def test_every_entry_point_rejects_the_same_bad_integers(miqp_small, site, bad):
 def test_stream_rejects_address_words_past_64_bits(words):
     with pytest.raises(ValueError, match=re.escape(f"stream address words out of range: {words}")):
         _rng.stream(0, *words)
+
+
+def test_the_step_helpers_take_numpy_integers_as_python_ints(miqp_small):
+    i = np.int64
+    assert default_draw_cap(i(100), i(5)) == default_draw_cap(100, 5)
+    assert canonical_active_expectation(i(50), i(4), i(3)) == canonical_active_expectation(50, 4, 3)
+    step = sfw_step(miqp_small, zero_gradient_profile(miqp_small), i(2), 0.5, 2, _rng.stream(0))
+    assert type(step[1].k) is int
 
 
 def replay(records):

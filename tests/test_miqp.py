@@ -78,7 +78,7 @@ class TestBestResponse:
             grad = Aggregate(gen.normal(size=3), miqp_small.block_dims)
             for i in range(10):
                 scores = {
-                    d: grad.dot(miqp_small.contribution(i, d)) for d in (0, 1)
+                    d: float(grad.values @ miqp_small.contribution(i, d).values) for d in (0, 1)
                 }
                 picked = miqp_small.best_response(i, grad)
                 assert scores[picked] <= min(scores.values())
@@ -127,6 +127,12 @@ class TestReferenceSolver:
         with pytest.raises(ReferenceSolverError) as info:
             reference_relaxed_optimum(miqp_small, tol=1e-14, max_iters=2)
         assert info.value.residual > 1e-14
+
+    def test_a_polish_that_leaves_the_optimum_reports_its_residual(self, miqp_small, monkeypatch):
+        monkeypatch.setattr(aggfw.miqp, "_polish_on_face", lambda instance, x: np.zeros_like(x))
+        with pytest.raises(ReferenceSolverError, match="polished point has residual") as info:
+            reference_relaxed_optimum(miqp_small, tol=1e-9)
+        assert info.value.residual > 1e-9
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 import aggfw
 from aggfw.bounds import compute_constants
+from aggfw.frank_wolfe import dual_gap_beta, quadratic_curvature
 from aggfw.problems import (
     Aggregate,
     DecisionProfile,
+    ProblemInstance,
     _HeldRows,
     aggregate_of,
     linearized_best_response,
@@ -65,23 +68,58 @@ class TestAggregate:
         assert y.block_dims == (2, 1)
         assert all(type(d) is int for d in y.block_dims)
 
-    def test_block_views_and_sqnorms(self):
+    def test_block_views_and_curvature(self):
         y = Aggregate(np.array([1.0, 2.0, 3.0, -1.0]), block_dims=(2, 1, 1))
         ends = np.cumsum(y.block_dims)
         np.testing.assert_array_equal(y.values[:ends[0]], [1.0, 2.0])
         np.testing.assert_array_equal(y.values[ends[1]:ends[2]], [-1.0])
-        np.testing.assert_allclose(y.block_sqnorms(), [5.0, 9.0, 1.0])
+        # Block squared norms of ybar - y are (5, 9, 1).
+        problem = SimpleNamespace(lipschitz_grad=np.array([1.0, 10.0, 100.0]))
+        zero = Aggregate(np.zeros(4), y.block_dims)
+        assert quadratic_curvature(problem, zero, y) == 5.0 + 90.0 + 100.0
 
-    def test_arithmetic_keeps_blocks(self):
-        a = Aggregate(np.array([1.0, 2.0]), block_dims=(1, 1))
-        b = Aggregate(np.array([0.5, -1.0]), block_dims=(1, 1))
-        np.testing.assert_array_equal((a + 2.0 * b).values, [2.0, 0.0])
-        assert (a - b).block_dims == (1, 1)
+    def test_gap_and_curvature_reject_an_overflowing_difference(self):
+        y, ybar = Aggregate(np.array([1.0, 1e308])), Aggregate(np.array([1.0, -1e308]))
+        problem = SimpleNamespace(lipschitz_grad=np.ones(2))
+        grad = Aggregate(np.ones(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite entry in aggregate block 1"):
+                dual_gap_beta(problem, y, ybar, grad=grad)
+            with pytest.raises(ValueError, match="non-finite entry in aggregate block 1"):
+                quadratic_curvature(problem, y, ybar)
 
-    def test_arithmetic_rejects_overflow_to_non_finite(self):
-        a = Aggregate(np.array([1e308]))
-        with np.errstate(over="ignore"), pytest.raises(ValueError):
-            _ = a + a
+
+class BareInstance(ProblemInstance):
+    """One agent and only the abstract members, so every optional hook keeps its default."""
+
+    n_agents, block_dims = 1, (1,)
+    lipschitz_f = lipschitz_grad = np.ones(1)
+    diameters = np.ones((1, 1))
+
+    def contribution(self, i, decision):
+        return Aggregate([float(decision)])
+
+    def f_block_values(self, y):
+        return y.values**2
+
+    def f_grad(self, y):
+        return Aggregate(2.0 * y.values)
+
+    def best_response(self, i, grad):
+        return 0
+
+
+class TestProblemInstanceDefaults:
+    def test_every_decision_validates(self):
+        assert BareInstance().validate_decision(0, "any token") is True
+
+    def test_no_decision_universe(self):
+        with pytest.raises(NotImplementedError, match="BareInstance has no enumerable decision"):
+            BareInstance().decision_universe(0)
+
+    def test_no_reference_relaxed_solver(self):
+        with pytest.raises(NotImplementedError, match="BareInstance has no reference relaxed"):
+            BareInstance().relaxed_optimum()
 
 
 class TestAggregateOf:
@@ -165,7 +203,7 @@ class TestLinearizedBestResponse:
         profile, _ = linearized_best_response(inst, y)
         grad = inst.f_grad(y)
         for i, decision in enumerate(profile.decisions):
-            scores = {d: grad.dot(inst.contribution(i, d)) for d in (-1, 1)}
+            scores = {d: float(grad.values @ inst.contribution(i, d).values) for d in (-1, 1)}
             assert scores[decision] == min(scores.values())
         # grad = (-1, 0): both decisions score -1, the tie goes to -1.
         assert profile.decisions == (-1,) * 6
@@ -176,10 +214,11 @@ class TestLinearizedBestResponse:
         y = Aggregate(np.array([0.1, -0.4]), table_instance.block_dims)
         grad = table_instance.f_grad(y)
         xbar, ybar = linearized_best_response(table_instance, y)
-        best = grad.dot(ybar)
+        best = float(grad.values @ ybar.values)
         universes = [table_instance.decision_universe(i) for i in range(4)]
         for decisions in itertools.product(*universes):
-            other = grad.dot(aggregate_of(table_instance, DecisionProfile(decisions)))
+            other = aggregate_of(table_instance, DecisionProfile(decisions))
+            other = float(grad.values @ other.values)
             assert best <= other + 1e-12
 
 
