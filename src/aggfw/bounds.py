@@ -82,21 +82,41 @@ def _tail_count(n_agents, c0: float, epsilon: float = 0.0) -> int:
     return _count(n_agents, "n_agents")
 
 
+def _exponent(epsilon: float, c0: float) -> int:
+    """0 while eps and C0 are 0, infinite or in [2^-500, 2^500]; else the e that puts the
+    larger finite one over 2^e in [0.5, 1).  A tail is the same function of eps and C0 over
+    2^e and of its variance term over 4^e, and scaling keeps its squares in range.  In range
+    nothing is scaled, as ``**`` (C's ``pow``) need not round x^2 and (x 2^-e)^2 alike."""
+    finite = [x for x in (epsilon, c0) if 0 < x < math.inf]
+    if all(2.0**-500 <= x <= 2.0**500 for x in finite):
+        return 0
+    return math.frexp(max(finite))[1]
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, or +-inf where ``math.ldexp`` would raise ``OverflowError``."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
+
+
 def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
     """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
-    n_agents = _tail_count(n_agents, c0, epsilon)
-    if c0 == 0 or epsilon == math.inf:
+    n_agents, e = _tail_count(n_agents, c0, epsilon), _exponent(epsilon, c0)
+    epsilon, c0 = math.ldexp(epsilon, -e), math.ldexp(c0, -e)
+    if c0**2 == 0 or epsilon == math.inf:  # C0 is 0, or eps / C0 > 2^536
         return 1.0 if epsilon == 0 else 0.0
     return float(np.exp(-2.0 * n_agents * epsilon**2 / c0**2))
 
 
 def _bernstein_tail(n_agents, epsilon: float, c0: float, constants) -> float:
-    """exp(-N eps^2 / (2 (v + eps m / 3))), with (v, m) = ``constants(N)`` once N is a count."""
-    n_agents = _tail_count(n_agents, c0, epsilon)
-    v, m = constants(n_agents)
+    """exp(-N eps^2 / (2 (v + eps m / 3))), with (v, m) = ``constants(N, e)`` the constants
+    at eps and C0 over 2^e (``_exponent``), once N is a count."""
+    n_agents, e = _tail_count(n_agents, c0, epsilon), _exponent(epsilon, c0)
+    v, m = constants(n_agents, e)
     if not v >= 0:
-        raise ValueError(f"variance term must be nonnegative, got {v}")
-    if epsilon == 0:
+        raise ValueError(f"variance term must be nonnegative, got {_ldexp(v, 2 * e)}")
+    epsilon = math.ldexp(epsilon, -e)
+    if epsilon**2 == 0:  # eps is 0, or eps / C0 < 2^-536 leaves the exponent negligible
         return 1.0
     denom = 2.0 * (v + epsilon * m / 3.0)
     if denom == 0 or epsilon == math.inf:
@@ -106,7 +126,8 @@ def _bernstein_tail(n_agents, epsilon: float, c0: float, constants) -> float:
 
 def mcdiarmid_variance_tail(n_agents: int, epsilon: float, sum_vi2: float, c0: float) -> float:
     """Variance-flavored tail bound exp(-N eps^2 / (2 (N sum_i v_i^2 + C0 eps / 3)))."""
-    return _bernstein_tail(n_agents, epsilon, c0, lambda n: (n * sum_vi2, c0))
+    return _bernstein_tail(n_agents, epsilon, c0,
+                           lambda n, e: (n * _ldexp(sum_vi2, -2 * e), math.ldexp(c0, -e)))
 
 
 def variance_proxy(problem: ProblemInstance, measure: DiscreteMeasure) -> float:
@@ -135,8 +156,8 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
 
 def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -> float:
     """Probability bound on gamma_K exceeding 4 C1 / K by epsilon."""
-    return _bernstein_tail(n_agents, epsilon, c0,
-                           lambda n: sfw_tail_constants(n_iters, c0, schedule, n))
+    return _bernstein_tail(n_agents, epsilon, c0, lambda n, e: sfw_tail_constants(
+        n_iters, math.ldexp(c0, -e), schedule, n))
 
 
 def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1: float) -> int:

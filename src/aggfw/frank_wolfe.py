@@ -92,20 +92,22 @@ class FwRecord:
     wall_ms: float
 
 
-_GAP_TOL = 1e-9  # a dual gap below minus this signals a broken oracle
+_GAP_TOL = 1e-9  # relative: see dual_gap_beta
 
 
 def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, grad=None) -> float:
     """Computable dual gap <grad f(y), y - ybar>.
 
     Nonnegative whenever ``ybar`` came from an exact best response at
-    ``y``; a value below ``-_GAP_TOL`` signals a broken oracle and raises.
+    ``y``; a value below ``-_GAP_TOL`` times sum_j |grad_j (y_j - ybar_j)|, the scale of
+    its terms, signals a broken oracle and raises at any scale of the instance.
     A caller holding ``grad f(y)`` passes it as ``grad``.
     """
     grad = problem.f_grad(y) if grad is None else grad
-    value = float(grad.values @ Aggregate(y.values - ybar.values, y.block_dims).values)
-    if value < -_GAP_TOL:
-        raise ValueError(f"dual gap {value:.3e} is negative beyond tolerance {_GAP_TOL:.1e}")
+    diff = Aggregate(y.values - ybar.values, y.block_dims).values
+    value = float(grad.values @ diff)
+    if value < 0 and value < -_GAP_TOL * (scale := float(np.abs(grad.values * diff).sum())):
+        raise ValueError(f"dual gap {value:.3e} is negative beyond {_GAP_TOL:.0e} of {scale:.3e}")
     return value
 
 

@@ -288,12 +288,25 @@ def select_best(
     Ties are broken by first occurrence, so the result is a deterministic
     function of the stream state.  The draws are ``sample_profile``'s; each
     atom is checked and its contribution row built once, up front.
+
+    A draw equal to an earlier one cannot replace the best, so once C(n_draws, 2)
+    prod_i sum_s w_is^2 >= 1 coinciding pairs are expected it is not scored again (it still
+    reads its uniforms).  Its key, the agents it takes off their highest-weight atom and
+    their columns, holds at most 2 ln(n_draws) agents on average: 1 - w_mode <= -log sum w^2.
     """
-    n_draws = _count(n_draws, "n_draws")
+    n_draws, weights = _count(n_draws, "n_draws"), profile.weights
     (atom_rows, index), agents = profile._atom_rows(problem), np.arange(profile.n_agents)
+    seen = None
+    if n_draws * (n_draws - 1) / 2 * np.prod(np.square(weights).sum(axis=1)) >= 1:
+        seen, modes = set(), weights.argmax(axis=1)
     best_columns, best_value = None, np.inf
     for _ in range(n_draws):
         columns = _sample_columns(profile, rng)
+        if seen is not None:
+            off = np.flatnonzero(columns != modes)
+            if (key := off.tobytes() + columns[off].tobytes()) in seen:
+                continue
+            seen.add(key)
         value = rows_objective(problem, atom_rows[index[agents, columns]])
         if value < best_value:
             best_columns, best_value = columns, value

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aggfw
@@ -238,22 +238,51 @@ class TestTailInputs:
         expected = float(np.exp(-(eps**2) * n / (2.0 * (v + eps * m / 3.0))))
         assert repr(sfw_tail(9, eps, n, c0, schedule)) == repr(expected)
 
-    # Magnitudes whose squares stay normal floats: beyond about 1e+-154 the formulas'
-    # squares overflow or underflow (an open fault of the tails, declared in CHANGES.md).
-    MAGNITUDES = st.just(0.0) | st.floats(1e-100, 1e100)
+    # Every finite magnitude, subnormals included.
+    MAGNITUDES = st.floats(0.0, allow_infinity=False)
 
     @settings(max_examples=300, deadline=None)
     @given(
         tail=st.sampled_from(sorted(TAILS)),
         n_agents=st.integers(1, 10**6),
         c0=MAGNITUDES,
+        sum_vi2=MAGNITUDES,
         epsilons=st.lists(MAGNITUDES | st.just(math.inf), min_size=2, max_size=2),
     )
+    @example("mcdiarmid", 1, 2.47e-203, 0.2, [0.25, 0.25])
+    @example("mcdiarmid", 10, 1e200, 0.2, [0.1, 0.1])
+    @example("variance", 10, 1.0, 0.2, [1e200, 1e200])
+    @example("variance", 1, 1e-170, 0.0, [1e-170, 1e-170])
     def test_a_probability_that_does_not_increase_with_epsilon(self, tail, n_agents, c0,
-                                                              epsilons):
+                                                              sum_vi2, epsilons):
+        call = TAILS[tail] if tail != "variance" else (
+            lambda n, eps, c0: mcdiarmid_variance_tail(n, eps, sum_vi2, c0))
         small, large = sorted(epsilons)
-        at_small, at_large = (TAILS[tail](n_agents, eps, c0) for eps in (small, large))
+        at_small, at_large = (call(n_agents, eps, c0) for eps in (small, large))
         assert 0.0 <= at_large <= at_small <= 1.0
+
+    # Where the formulas' squares overflow, underflow or divide by an underflowed 0.0 unless
+    # the tails rescale eps and C0 by a power of two.
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: mcdiarmid_tail(1, 0.25, 2.47e-203), 0.0),
+        (lambda: mcdiarmid_tail(10, 0.1, 1e200), 1.0),
+        (lambda: mcdiarmid_variance_tail(10, 1e200, 0.2, 1.0), 0.0),
+        (lambda: mcdiarmid_variance_tail(1, 1e-170, 0.0, 1e-170), math.exp(-1.5)),
+        (lambda: sfw_tail(5, 0.1, 10, 1e200, ConstantSchedule(1)), 1.0),
+        (lambda: sfw_tail(5, 1e200, 10, 1.0, ConstantSchedule(1)), 0.0),
+    ], ids=range(6))
+    def test_extreme_magnitudes(self, call, expected):
+        assert call() == pytest.approx(expected, rel=1e-15)
+
+    IN_RANGE = st.floats(2.0**-500, 2.0**500)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**6), eps=IN_RANGE, sum_vi2=IN_RANGE | st.just(0.0), c0=IN_RANGE)
+    def test_tails_in_range_keep_their_float_operations(self, n, eps, sum_vi2, c0):
+        expected = float(np.exp(-2.0 * n * eps**2 / c0**2))
+        assert repr(mcdiarmid_tail(n, eps, c0)) == repr(expected)
+        expected = float(np.exp(-n * eps**2 / (2.0 * (n * sum_vi2 + c0 * eps / 3.0))))
+        assert repr(mcdiarmid_variance_tail(n, eps, sum_vi2, c0)) == repr(expected)
 
 
 class TestSampleSize:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import aggfw
 from aggfw import rng as _rng
 from aggfw.measures import (
     PRUNE_WEIGHT,
@@ -169,13 +170,13 @@ def loop_variance(problem, measure, columns):
 
 
 @st.composite
-def measure_profiles(draw):
+def measure_profiles(draw, raw_weights=st.floats(0.0, 1.0)):
     """Table measures with 3-4 atoms in shuffled order; some atoms get pruned."""
     problem = draw(table_instances())
     measures = []
     for i in range(problem.n_agents):
         universe = draw(st.permutations(problem.decision_universe(i)))
-        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(universe), max_size=len(universe)))
+        raw = draw(st.lists(raw_weights, min_size=len(universe), max_size=len(universe)))
         raw = [w if w > 0.05 else PRUNE_WEIGHT * w for w in raw]  # tiny atoms fall below the threshold
         if max(raw) < PRUNE_WEIGHT:
             raw[0] = 1.0
@@ -281,11 +282,14 @@ class TestMeasuresOnTheHook:
             best, best_value
         )
 
+    # Weights near 0 or 1 as well: draws repeat, and select_best scores each distinct one once.
     @PROPERTY
-    @given(measure_profiles(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @given(measure_profiles(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.06, 1.0])),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
     def test_select_best_equals_the_sample_and_objective_loop(self, case, n_draws, seed):
         problem, profile = case
-        best, value = select_best(problem, profile, n_draws, np.random.default_rng(seed))
+        stream = np.random.default_rng(seed)
+        best, value = select_best(problem, profile, n_draws, stream)
         rng, best_ref, value_ref = np.random.default_rng(seed), None, np.inf
         for _ in range(n_draws):
             candidate = sample_profile(profile, rng)
@@ -294,6 +298,46 @@ class TestMeasuresOnTheHook:
                 best_ref, value_ref = candidate, candidate_value
         assert repr(best.decisions) == repr(best_ref.decisions)
         assert repr(value) == repr(value_ref)
+        assert bits(stream.random(3)) == bits(rng.random(3))
+
+    @pytest.mark.parametrize("mixed, n_draws, seed, memo", [
+        (2, 20, 0, True),  # expected coinciding pairs C(20, 2) / 4 = 47.5
+        (3, 3, 1, False),  # 3 / 8 = 0.375, though the seed repeats a draw
+    ])
+    def test_select_best_scores_each_distinct_draw_once_when_repeats_are_expected(
+        self, mixed, n_draws, seed, memo
+    ):
+        class CountingValues(MiqpInstance):
+            calls = 0
+
+            def f_block_values(self, y):
+                self.calls += 1
+                return super().f_block_values(y)
+
+        base = aggfw.generate(3, 10, seed=0)
+        problem = CountingValues(base.matrix, base.target)
+        profile = MeasureProfile(
+            DiscreteMeasure(i, [(0.5, 0), (0.5, 1)] if i < mixed else [(1.0, 0)])
+            for i in range(10)
+        )
+        rng = np.random.default_rng(seed)
+        distinct = len({sample_profile(profile, rng).decisions for _ in range(n_draws)})
+        assert distinct < n_draws
+        select_best(problem, profile, n_draws, np.random.default_rng(seed))
+        assert problem.calls == (distinct if memo else n_draws)
+
+    def test_select_best_returns_the_first_of_tied_and_repeated_best_draws(self):
+        # J counts the +1 entries only: 5 distinct draws tie at the optimum -1, and the
+        # first of them, the 4th draw, comes again twice.
+        problem = aggfw.BalancedSignsInstance(4)
+        profile = MeasureProfile(DiscreteMeasure(i, [(0.5, -1), (0.5, 1)]) for i in range(4))
+        rng = np.random.default_rng(0)
+        draws = [sample_profile(profile, rng) for _ in range(30)]
+        values = [objective(problem, d) for d in draws]
+        first = values.index(-1.0)
+        assert first == 3 and draws.count(draws[first]) == 3
+        assert len({d.decisions for d, v in zip(draws, values) if v == -1.0}) == 5
+        assert select_best(problem, profile, 30, np.random.default_rng(0)) == (draws[first], -1.0)
 
     def test_select_best_checks_atoms_no_draw_picks(self):
         problem = TableInstance([np.eye(2)] * 2, np.zeros(2))

@@ -99,7 +99,7 @@ class TestDualGap:
 
 
 class TestDualGapAtScale:
-    """The absolute tolerance of ``dual_gap_beta`` against rescaled instances.
+    """The relative tolerance of ``dual_gap_beta`` against rescaled instances.
 
     Scaling A and the target by s scales the gradient and the aggregate by
     s, so beta scales by s^2.  A correct oracle keeps beta positive at any
@@ -116,7 +116,7 @@ class TestDualGapAtScale:
         _, records = fw_run(scaled, 500, rule=rule)
         assert min(record.beta for record in records) > 0.0
 
-    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 1e5, 2.0**40])
     def test_wrong_oracle_still_raises(self, scale):
         class FlippedOracle(aggfw.MiqpInstance):
             def best_response_all(self, grad, agents=None):
@@ -126,6 +126,29 @@ class TestDualGapAtScale:
         flipped = FlippedOracle(scale * base.matrix, scale * base.target)
         with pytest.raises(ValueError, match="dual gap .* is negative"):
             fw_run(flipped, 5, initial=DecisionProfile((0, 1) * 25))
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 2.0**20])
+    def test_every_record_scales_exactly(self, scale):
+        # A power of two scales each float operation exactly: objective and beta by s^2,
+        # and nothing else in a record (steps, supports, draws, acceptances) moves.
+        base = aggfw.generate(10, 50, seed=0)
+        scaled = aggfw.MiqpInstance(scale * base.matrix, scale * base.target)
+        constants = [compute_constants(p) for p in (base, scaled)]
+        runs = [
+            lambda p, c: fw_run(p, 30)[1],
+            lambda p, c: fw_run(p, 30, rule=LineSearchFwStep())[1],
+            lambda p, c: aggfw.sfw_run(p, 30, aggfw.ConstantSchedule(5), seed=3)[1],
+            lambda p, c: aggfw.sfw_run(p, 30, aggfw.QuadraticSchedule(24), seed=3,
+                                       rule=LineSearchSfwStep.from_constants(c))[1],
+            lambda p, c: aggfw.stopping_time_run(p, 30, seed=3)[1],
+        ]
+        for run in runs:
+            records, scaled_records = (run(p, c) for p, c in zip((base, scaled), constants))
+            assert len(records) == len(scaled_records)
+            for r, t in zip(records, scaled_records):
+                unscaled = dataclasses.replace(t, objective=t.objective / scale**2,
+                                               beta=t.beta / scale**2, wall_ms=r.wall_ms)
+                assert repr(unscaled) == repr(r)  # repr: the terminal omega is NaN
 
 
 class TestFwRun:
