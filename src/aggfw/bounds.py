@@ -143,6 +143,8 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
     candidate draws at iteration k.
     """
     big_k, n_agents = _count(n_iters, "n_iters"), _tail_count(n_agents, c0)
+    e = _exponent(0.0, c0)  # outside the window, C0 over 2^e keeps c0**2 in range
+    c0 = math.ldexp(c0, -e)
     v_sum = 0.0
     m_max = 0.0
     for k in range(1, big_k):
@@ -151,7 +153,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
         m_max = max(m_max, (k + 1) * (k + 2) / n_k)
     v = 2.0 * c0**2 / (big_k**2 * (big_k + 1) ** 2) * v_sum
     m = c0 / (big_k * (big_k + 1)) * m_max
-    return v, m
+    return _ldexp(v, 2 * e), _ldexp(m, e)
 
 
 def sfw_tail(n_iters: int, epsilon: float, n_agents: int, c0: float, schedule) -> float:
@@ -169,7 +171,11 @@ def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1
         raise ValueError(f"confidence level zeta must lie in (0, 1), got {zeta}")
     if not 0 < c1 < math.inf:
         raise ValueError(f"c1 must be positive and finite, got {c1}")
-    raw = 2.0 * c0**2 / c1**2 * k**2 / n_agents * math.log(1.0 / zeta)
+    e = _exponent(c0, c1)  # the count depends on C0 / C1 only
+    scaled_c0, scaled_c1 = math.ldexp(c0, -e), math.ldexp(c1, -e)
+    if scaled_c1**2 == 0 or not (raw := 2.0 * scaled_c0**2 / scaled_c1**2 * k**2 / n_agents
+                                 * math.log(1.0 / zeta)) < math.inf:
+        raise ValueError(f"the draw count for c0={c0!r}, c1={c1!r} is too large to represent")
     return max(math.ceil(raw), 1)
 
 

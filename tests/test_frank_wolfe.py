@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aggfw
@@ -20,7 +20,7 @@ from aggfw.frank_wolfe import (
     fw_with_selection,
     quadratic_curvature,
 )
-from aggfw.measures import MeasureProfile, mix, relaxed_objective, select_best
+from aggfw.measures import MeasureProfile, _Atoms, mix, relaxed_objective, select_best
 from aggfw.problems import (
     Aggregate,
     DecisionProfile,
@@ -28,7 +28,7 @@ from aggfw.problems import (
     linearized_best_response,
     zero_gradient_profile,
 )
-from conftest import INSTANCES, CountingInstance, TableInstance
+from conftest import INSTANCES, CountingInstance, TableInstance, signed_zero_tables
 
 
 class TestStepRules:
@@ -96,6 +96,12 @@ class TestDualGap:
         bad = Aggregate(y.values + 0.5 * np.sign(grad.values), miqp_small.block_dims)
         with pytest.raises(ValueError, match="negative"):
             dual_gap_beta(miqp_small, y, bad)
+
+    def test_a_gap_below_zero_by_rounding_is_returned(self):
+        # At k = 5, y and ybar agree to within rounding: the gap is -7.0e-18, and the terms
+        # |grad_j (y_j - ybar_j)| sum to 7.4e-18 only; |grad| @ (|y| + |ybar|) bounds them.
+        _, records = fw_run(signed_zero_tables(425), 5, rule=CanonicalStep())
+        assert records[-1].beta.hex() == "-0x1.0391361670aa8p-57"
 
 
 class TestDualGapAtScale:
@@ -216,6 +222,11 @@ class TestFwRun:
         assert all(min(r.support_sizes) >= 1 for r in records)
         assert all(max(r.support_sizes) <= 2 for r in records)  # binary tokens merge
 
+    @pytest.mark.parametrize("omega", [1.5, -0.25, math.nan])
+    def test_a_step_size_outside_the_unit_interval_raises(self, miqp_small, omega):
+        with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\]"):
+            fw_run(miqp_small, 3, rule=ScriptedStep((0.5, omega)))
+
     def test_rejects_zero_iterations(self, miqp_small):
         with pytest.raises(ValueError):
             fw_run(miqp_small, 0)
@@ -264,19 +275,86 @@ def _bits(records):
             for r in records]
 
 
+@dataclasses.dataclass(frozen=True)
+class ScriptedStep:
+    """Step sizes taken in turn from ``omegas``."""
+
+    omegas: tuple
+
+    def omega(self, k, beta=None, curvature=None):
+        return self.omegas[k % len(self.omegas)]
+
+
+RULES = {"canonical": CanonicalStep(), "ls-fw": LineSearchFwStep()}
+
+# A run that reaches each branch of ``_Atoms`` named by ``_reached``: (instance, seed,
+# rule, iterations, scripted step sizes).
+BRANCH_EXAMPLES = {
+    "compaction": ("miqp", 1, "ls-fw", 3, [0.5]),
+    "edge-append": ("cycling-table", 0, "canonical", 8, [0.5]),
+    "equal-token": ("float-responses", 0, "ls-fw", 8, [0.5]),
+}
+
+
+def _reached(problem, n_iters, rule, monkeypatch):
+    """The branches of ``_Atoms`` that ``fw_run`` reaches: a compaction after a step of
+    omega = 1 past the first, an append into the last row of a storage of two rows or
+    more, and an agent left unmatched whose token is an ``==``-equal object of another type
+    than its atom."""
+    reached, compacted, add, settle = set(), [], _Atoms.add, _Atoms.settle
+
+    def spy_add(self, tokens, weights, moved):
+        width, rows = int(self.sizes.max()), len(self.weights)
+        if not self.stale:
+            rest = np.setdiff1d(self.columns, moved)
+            atoms = self.tokens[self.slots[rest], rest]
+            if any(type(a) is not type(t) for a, t in zip(atoms, tokens[rest])):
+                reached.add("equal-token")
+        add(self, tokens, weights, moved)
+        if rows == width >= 2 and self.sizes.max() > width:
+            reached.add("edge-append")
+
+    def spy_settle(self):
+        profile = settle(self)
+        compacted.append(self.stale)
+        return profile
+
+    monkeypatch.setattr(_Atoms, "add", spy_add)
+    monkeypatch.setattr(_Atoms, "settle", spy_settle)
+    _, records = fw_run(problem, n_iters, rule=rule)
+    if any(c and r.omega == 1.0 for c, r in zip(compacted[1:], records[1:])):
+        reached.add("compaction")
+    return reached
+
+
 class TestHeldRowsEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 999), st.booleans(),
-           st.integers(1, 25))
-    def test_fw_run_matches_the_aggregate_of_loop(self, name, seed, line_search, n_iters):
+    """``fw_run`` against ``_reference_fw``, the ``mix`` loop, bit for bit: every record,
+    the final weights and token objects, padding included.  Scripted step sizes add steps
+    of 0 (an atom of weight 0 appended, then pruned), of 1 and below ``PRUNE_WEIGHT``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.integers(0, 999),
+           st.sampled_from(["canonical", "ls-fw", "scripted"]), st.integers(1, 25),
+           st.lists(st.sampled_from([0.0, 1.0, 1e-13]) | st.floats(0.0, 1.0), min_size=1,
+                    max_size=4))
+    @example(*BRANCH_EXAMPLES["compaction"])
+    @example(*BRANCH_EXAMPLES["edge-append"])
+    @example(*BRANCH_EXAMPLES["equal-token"])
+    def test_fw_run_matches_the_aggregate_of_loop(self, name, seed, rule, n_iters, omegas):
         problem = INSTANCES[name](seed)
-        rule = LineSearchFwStep() if line_search else CanonicalStep()
+        rule = RULES.get(rule, ScriptedStep(tuple(omegas)))
         profile, records = fw_run(problem, n_iters, rule=rule)
         profile_ref, records_ref = _reference_fw(problem, n_iters, rule)
         assert _bits(records) == _bits(records_ref)
         assert profile.weights.tobytes() == profile_ref.weights.tobytes()
+        assert profile.weights.shape == profile_ref.weights.shape
         assert repr(profile.tokens) == repr(profile_ref.tokens)  # the same token objects
         assert profile.support_sizes == profile_ref.support_sizes
+
+    @pytest.mark.parametrize("branch", sorted(BRANCH_EXAMPLES))
+    def test_each_example_reaches_its_branch(self, branch, monkeypatch):
+        name, seed, rule, n_iters, _ = BRANCH_EXAMPLES[branch]
+        assert branch in _reached(INSTANCES[name](seed), n_iters, RULES[rule], monkeypatch)
 
 
 class TestFwThenSelection:

@@ -63,6 +63,35 @@ class TestGenerate:
             aggfw.MiqpInstance(matrix, target)
 
 
+class TestMatrixLayout:
+    """The instance keeps its own copy of the matrix on a 64-byte boundary, in the input's
+    C or F order, so no result or timing follows where the caller's array sits."""
+
+    @staticmethod
+    def at_offset(matrix, offset, order):
+        buffer = np.empty(matrix.nbytes + 128, dtype=np.uint8)
+        start = -buffer.ctypes.data % 64 + offset
+        copy = buffer[start : start + matrix.nbytes].view(float).reshape(matrix.shape, order=order)
+        copy[...] = matrix
+        return copy
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_bit_is_independent_of_the_input_offset(self, order):
+        base = aggfw.generate(20, 60, seed=3)
+        results = []
+        for offset in (8, 16, 64):
+            matrix = self.at_offset(base.matrix, offset, order)
+            assert matrix.ctypes.data % 64 == offset % 64
+            instance = aggfw.MiqpInstance(matrix, base.target)
+            assert instance.matrix.ctypes.data % 64 == 0 and instance.matrix is not matrix
+            assert instance.matrix.flags[f"{order}_CONTIGUOUS"]
+            profile, records = aggfw.fw_run(instance, 40, rule=aggfw.LineSearchFwStep())
+            results.append((instance.relaxed_optimum(tol=1e-9).value.hex(),
+                            [(r.objective.hex(), r.beta.hex(), r.omega.hex()) for r in records],
+                            profile.weights.tobytes(), instance.matrix.tobytes(order="A")))
+        assert results[0] == results[1] == results[2]
+
+
 class TestBestResponse:
     def test_positive_gradient_prefers_zero(self, miqp_small):
         grad = Aggregate(np.ones(3), miqp_small.block_dims)
