@@ -145,8 +145,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
     big_k, n_agents = _count(n_iters, "n_iters"), _tail_count(n_agents, c0)
     e = _exponent(0.0, c0)  # outside the window, C0 over 2^e keeps c0**2 in range
     c0 = math.ldexp(c0, -e)
-    v_sum = 0.0
-    m_max = 0.0
+    v_sum, m_max = 0.0, 0.0
     for k in range(1, big_k):
         n_k = schedule.size(k, n_agents)
         v_sum += k * (k + 1) ** 2 / n_k
@@ -172,9 +171,9 @@ def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1
     if not 0 < c1 < math.inf:
         raise ValueError(f"c1 must be positive and finite, got {c1}")
     e = _exponent(c0, c1)  # the count depends on C0 / C1 only
-    scaled_c0, scaled_c1 = math.ldexp(c0, -e), math.ldexp(c1, -e)
-    if scaled_c1**2 == 0 or not (raw := 2.0 * scaled_c0**2 / scaled_c1**2 * k**2 / n_agents
-                                 * math.log(1.0 / zeta)) < math.inf:
+    c0_e, c1_e = math.ldexp(c0, -e), math.ldexp(c1, -e)  # C0 / C1 > 2^536 leaves c1_e**2 0
+    raw = 2.0 * c0_e**2 / c1_e**2 * k**2 / n_agents * math.log(1.0 / zeta) if c1_e**2 else math.inf
+    if raw == math.inf:
         raise ValueError(f"the draw count for c0={c0!r}, c1={c1!r} is too large to represent")
     return max(math.ceil(raw), 1)
 

@@ -16,19 +16,9 @@ import numpy as np
 
 from . import rng as _rng
 from .bounds import ProblemConstants, compute_constants, sample_size_for_confidence
-from .measures import MeasureProfile, _Atoms, select_best
-from .measures import mix  # noqa: F401  (the benchmark's tracer wraps frank_wolfe.mix by name)
-from .problems import (
-    Aggregate,
-    DecisionProfile,
-    ProblemInstance,
-    _count,
-    _block_starts,
-    _HeldRows,
-    aggregate_of,
-    rows_aggregate,
-    zero_gradient_profile,
-)
+from .measures import MeasureProfile, _Atoms, mix, select_best  # noqa: F401 (mix: traced by name)
+from .problems import Aggregate, DecisionProfile, ProblemInstance, _block_starts, _count
+from .problems import _HeldRows, aggregate_of, rows_aggregate, zero_gradient_profile
 
 
 @dataclass(frozen=True)
@@ -154,10 +144,8 @@ def fw_run(
         if not np.isfinite(value):
             raise ValueError(f"non-finite relaxed objective at iteration {k}")
         if k == n_iters:  # terminal record: no step is taken
-            records.append(
-                FwRecord(k, value, beta, float("nan"), atoms.support_sizes,
-                         (time.perf_counter() - start) * 1e3)
-            )
+            records.append(FwRecord(k, value, beta, float("nan"), atoms.support_sizes,
+                                    (time.perf_counter() - start) * 1e3))
             break
         omega = rule.omega(k, beta=beta, curvature=quadratic_curvature(problem, y, ybar))
         supports = atoms.support_sizes  # state at k, before the update
@@ -203,16 +191,14 @@ def fw_with_selection(
     constants = compute_constants(problem)
     recommended = None
     if n_iters <= problem.n_agents:
-        recommended = sample_size_for_confidence(
-            n_iters, problem.n_agents, zeta, constants.c0, constants.c1
-        )
+        recommended = sample_size_for_confidence(n_iters, problem.n_agents, zeta,
+                                                 constants.c0, constants.c1)
     else:
         warnings.warn(
             f"selection after {n_iters} iterations with only {problem.n_agents} agents: "
             "the sampling guarantee holds for iteration counts up to N",
             stacklevel=2,
         )
-    decisions, value = select_best(
-        problem, profile, n_select, _rng.stream(seed, _rng.SELECTION, 0, n_iters)
-    )
+    decisions, value = select_best(problem, profile, n_select,
+                                   _rng.stream(seed, _rng.SELECTION, 0, n_iters))
     return FwSelectionResult(decisions, value, records, profile, recommended)

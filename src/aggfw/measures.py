@@ -27,9 +27,8 @@ class _Atoms:
     """A profile's atoms on (S, N) arrays, which ``mix`` merges with others' as the dict merge
     by token in atom order would, for all agents at once and with its float operations.
     Agent i's ``sizes[i]`` atoms lead column i and later rows hold 0.0 and None, which add
-    0.0; errors name agent i ``names[i]``.  ``mix`` matches only the agents it is told
-    moved (all while ``stale``, after a compaction): the others add at ``slots[i]``, whose
-    token is ``==``-equal to their last one while ``==`` is an equivalence."""
+    0.0; errors name agent i ``names[i]``.  Only the agents said to have moved are matched
+    (all while ``stale``, after a compaction); the others add at ``slots[i]``, their last hit."""
 
     def __init__(self, profile: MeasureProfile, agents=None):
         self.weights, self.tokens = profile.weights.T.copy(), profile.tokens.T.copy()
@@ -39,8 +38,7 @@ class _Atoms:
 
     def mix(self, weights, tokens, omega: float, moved=None) -> MeasureProfile:
         """These atoms times 1 - omega merged with the (N, S) atoms ``weights``, ``tokens``
-        times omega, as ``mix`` merges them; ``tokens`` differs from the last ones mixed in
-        only for the agents ``moved`` (None: any agent)."""
+        times omega; ``tokens`` differs from the last ones only for agents ``moved``."""
         if not 0.0 <= omega <= 1.0:
             raise ValueError(f"mixing weight must lie in [0, 1], got {omega}")
         self.weights *= 1.0 - omega
@@ -49,8 +47,7 @@ class _Atoms:
         return self.settle()
 
     def add(self, tokens, weights, moved) -> None:
-        """Add ``weights[i]`` to agent i's atom that equals ``tokens[i]``, appended if none,
-        matching only the agents ``moved`` unless ``stale``."""
+        """Add ``weights[i]`` to agent i's atom ``==`` to ``tokens[i]``, appended if none."""
         depth = int(self.sizes.max(initial=0)) + 1  # the rows an atom can be in after this add
         if depth > len(self.weights):
             self.weights = np.vstack([self.weights, np.zeros_like(self.weights)])
@@ -69,11 +66,10 @@ class _Atoms:
         """Check that each agent's weights sum to 1, drop the atoms below ``PRUNE_WEIGHT``,
         divide the rest by their sum; and the profile."""
         total = sequential_sum(self.weights)
-        bad = ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)  # a NaN weight fails here too
-        if bad.any():
+        if (bad := ~(np.abs(total - 1.0) <= _WEIGHT_SUM_TOL)).any():  # NaN weights fail too
             i = int(bad.argmax())
-            raise ValueError(
-                f"atom weights for agent {self.names[i]} sum to {total[i]}, expected 1")
+            raise ValueError(f"atom weights for agent {self.names[i]} sum to {total[i]}, "
+                             "expected 1")
         # A checked row of S slots has an atom of weight >= (1 - 1e-12)/S: kept for S < 1e11.
         keep = self.weights >= PRUNE_WEIGHT
         kept_sizes = keep.sum(axis=0)
@@ -183,8 +179,8 @@ class MeasureProfile:
         if (weights < 0).any():
             agent = agents[int((weights < 0).any(axis=1).argmax())]
             raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")
-        none = np.empty((len(weights), 1), dtype=object)
-        empty = cls._of(np.zeros(none.shape), none, np.zeros(len(none), dtype=np.intp))
+        zeros = np.zeros((len(weights), 1))  # an empty store: one slot of 0.0 and None per agent
+        empty = cls._of(zeros, np.empty(zeros.shape, object), zeros[:, 0].astype(np.intp))
         return _Atoms(empty, agents).mix(weights, tokens, 1.0)
 
     @classmethod

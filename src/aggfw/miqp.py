@@ -46,7 +46,7 @@ class MiqpInstance(ProblemInstance):
 
     ``J(x) = |A x - target|^2 / N^2`` with ``x in {0,1}^N``; block j of
     the aggregate is the scalar mean contribution ``(1/N) sum_i A[j,i] x_i``
-    and ``f_j(y_j) = (y_j - target_j / N)^2``.  It owns an aligned copy of the matrix.
+    and ``f_j(y_j) = (y_j - target_j / N)^2``.
     """
 
     def __init__(self, matrix, target, seed: int | None = None):
@@ -56,7 +56,12 @@ class MiqpInstance(ProblemInstance):
             raise ValueError("matrix must be (M, N) with a length-M target")
         if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
             raise ValueError("instance data must be finite")
-        self.matrix = _aligned(matrix)
+        # An owned copy on a 64-byte boundary, in the input's order: off it the BLAS products
+        # run slower (to the same bits), so timings would follow the caller's heap layout.
+        buffer = np.empty(matrix.nbytes + 64, dtype=np.uint8)
+        self.matrix = np.ndarray(matrix.shape, float, buffer, -buffer.ctypes.data % 64,
+                                 order="F" if matrix.flags.f_contiguous else "C")
+        self.matrix[...] = matrix
         self.target = target
         self.seed = seed
         self._dims = (1,) * matrix.shape[0]
@@ -161,16 +166,6 @@ class MiqpInstance(ProblemInstance):
         m, n = _count(data["M"], "M"), _count(data["N"], "N")
         matrix = np.asarray(data["A"], dtype=float).reshape(m, n)
         return cls(matrix, np.asarray(data["ybar"], dtype=float), seed=data.get("seed"))
-
-
-def _aligned(array: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` in its C or F order that starts on a 64-byte boundary: off it the
-    BLAS products give the same bits more slowly, so timings would follow the heap layout."""
-    order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
-    buffer = np.empty(array.nbytes + 64, dtype=np.uint8)
-    copy = np.ndarray(array.shape, array.dtype, buffer, -buffer.ctypes.data % 64, order=order)
-    copy[...] = array
-    return copy
 
 
 def generate(m: int, n: int, seed: int) -> MiqpInstance:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 
@@ -64,32 +65,47 @@ class TestGenerate:
 
 
 class TestMatrixLayout:
-    """The instance keeps its own copy of the matrix on a 64-byte boundary, in the input's
-    C or F order, so no result or timing follows where the caller's array sits."""
+    """The instance owns a copy of its matrix on a 64-byte boundary, in the input's C or F
+    order.  A matrix off that boundary gives every bit the same, only more slowly."""
 
     @staticmethod
     def at_offset(matrix, offset, order):
         buffer = np.empty(matrix.nbytes + 128, dtype=np.uint8)
         start = -buffer.ctypes.data % 64 + offset
-        copy = buffer[start : start + matrix.nbytes].view(float).reshape(matrix.shape, order=order)
-        copy[...] = matrix
-        return copy
+        out = buffer[start : start + matrix.nbytes].view(float).reshape(matrix.shape, order=order)
+        out[...] = matrix
+        assert out.ctypes.data % 64 == offset % 64
+        return out
+
+    @staticmethod
+    def results(instance):
+        profile, records = aggfw.fw_run(instance, 40, rule=aggfw.LineSearchFwStep())
+        return (instance.relaxed_optimum(tol=1e-9).value.hex(),
+                [(r.objective.hex(), r.beta.hex(), r.omega.hex()) for r in records],
+                profile.weights.tobytes())
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_every_bit_is_independent_of_the_input_offset(self, order):
+    def test_the_instance_copies_its_matrix_to_a_64_byte_boundary(self, order):
         base = aggfw.generate(20, 60, seed=3)
-        results = []
         for offset in (8, 16, 64):
             matrix = self.at_offset(base.matrix, offset, order)
-            assert matrix.ctypes.data % 64 == offset % 64
             instance = aggfw.MiqpInstance(matrix, base.target)
-            assert instance.matrix.ctypes.data % 64 == 0 and instance.matrix is not matrix
+            assert instance.matrix.ctypes.data % 64 == 0
             assert instance.matrix.flags[f"{order}_CONTIGUOUS"]
-            profile, records = aggfw.fw_run(instance, 40, rule=aggfw.LineSearchFwStep())
-            results.append((instance.relaxed_optimum(tol=1e-9).value.hex(),
-                            [(r.objective.hex(), r.beta.hex(), r.omega.hex()) for r in records],
-                            profile.weights.tobytes(), instance.matrix.tobytes(order="A")))
-        assert results[0] == results[1] == results[2]
+            assert not np.shares_memory(instance.matrix, matrix)
+            assert instance.matrix.tobytes(order="A") == matrix.tobytes(order="A")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_matrix_off_the_boundary_gives_the_same_bits(self, order):
+        # The reference value and an fw_run trajectory, with the instance's matrix swapped
+        # for copies at offsets 8, 16 and 64 from a 64-byte boundary.
+        base = aggfw.generate(100, 400, seed=3)
+        aligned = aggfw.MiqpInstance(self.at_offset(base.matrix, 0, order), base.target)
+        expected = self.results(aligned)
+        for offset in (8, 16, 64):
+            instance = copy.copy(aligned)
+            instance.matrix = self.at_offset(base.matrix, offset, order)
+            assert self.results(instance) == expected
 
 
 class TestBestResponse:
