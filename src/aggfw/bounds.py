@@ -3,8 +3,8 @@
 Everything here is a pure function of the problem's regularity data
 (Lipschitz moduli and contribution diameters) or of simple schedule
 parameters; nothing touches the solvers.  The one exception is the
-nonconvexity-measure diagnostic at the bottom, which runs an exact
-small-scale optimization over a grid.
+nonconvexity-measure diagnostic at the bottom, which computes the exact
+measure of a small point set from the faces of its Delaunay cells.
 """
 from __future__ import annotations
 
@@ -147,7 +147,7 @@ def sfw_tail_constants(n_iters: int, c0: float, schedule, n_agents: int) -> tupl
     c0 = math.ldexp(c0, -e)
     v_sum, m_max = 0.0, 0.0
     for k in range(1, big_k):
-        n_k = schedule.size(k, n_agents)
+        n_k = _count(schedule.size(k, n_agents), f"schedule size at iteration {k}")
         v_sum += k * (k + 1) ** 2 / n_k
         m_max = max(m_max, (k + 1) * (k + 2) / n_k)
     v = 2.0 * c0**2 / (big_k**2 * (big_k + 1) ** 2) * v_sum
@@ -182,29 +182,44 @@ def sample_size_for_confidence(k: int, n_agents: int, zeta: float, c0: float, c1
 
 _MAX_POINTS = 64
 _MAX_DIM = 3
-_FEAS_TOL = 1e-9
-_WEIGHT_TOL = 1e-12
+_FLAT = 1e-12  # a Gram determinant below this share of its diagonal's product is singular
+_INSIDE = 1e-14  # a point nearer a circumcentre than R^2 (1 - _INSIDE) lies inside its sphere
+_SUBSETS = 1 << 10  # subsets per batch: 64 points in 3-D have 635,376 to try
+
+
+def _circumspheres(pts: np.ndarray, subsets: np.ndarray):
+    """The affinely independent rows of point indices, and for each mu with 2 G mu = diag G (G
+    the Gram matrix of the edges from the row's first point v0) and c - v0 = mu @ edges, with c
+    the circumcentre in the subset's affine hull."""
+    edges = pts[subsets[:, 1:]] - pts[subsets[:, :1]]
+    gram = edges @ edges.transpose(0, 2, 1)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    free = np.linalg.det(gram) > _FLAT * diag.prod(axis=1)
+    mu = np.linalg.solve(2.0 * gram[free], diag[free][..., None])
+    return subsets[free], mu[..., 0], (mu.transpose(0, 2, 1) @ edges[free])[:, 0]
 
 
 def nonconvexity_measure(points, resolution: float = 0.01) -> float:
-    """Grid lower bound on the nonconvexity measure of a finite point set.
+    """Nonconvexity measure of a finite point set, exact up to rounding.
 
-    For each grid point ``y`` of the convex hull, the minimal variance of a probability
-    measure on the set with mean ``y`` equals the linear program ``min sum_s w_s |p_s|^2``
-    over simplex weights with mean ``y``, minus ``|y|^2``.  Basic optimal solutions are
-    supported on affinely independent subsets of at most ``q + 1`` points, so the program is
-    solved exactly by enumerating those supports.  The grid is an axis-aligned lattice of
-    the bounding box with relative spacing ``resolution`` per axis; grid points outside the
-    hull have no feasible support and drop out on their own.  The returned value is the
-    square root of the grid maximum, a lower bound on the true measure up to the grid
-    resolution.  0.0 may also mean that no grid point fell within ``_FEAS_TOL`` of a
-    lower-dimensional hull, such as a tilted triangle in 3-D; a finer ``resolution`` may
-    reach the hull.
+    The square root of the largest, over the points ``y`` of the hull, least variance of a
+    probability measure on the set with mean ``y``: ``phi(y) - |y|^2`` (LP duality), with
+    ``phi`` the lower convex envelope of ``|p|^2`` on the points.  By the lifting map ``phi`` is
+    affine on each Delaunay cell T, where the variance ``R_T^2 - |y - c_T|^2`` (circumcentre
+    ``c_T``, circumradius ``R_T``) peaks at the point of T nearest ``c_T``: the circumcentre of
+    the face F whose relative interior holds it, at ``R_F^2``.  The largest such ``R_F^2`` is
+    the squared measure.  In the set's affine hull, of dimension r, the cells are the affinely
+    independent (r + 1)-subsets with no point strictly inside their circumsphere.  A set or
+    subset flatter than about 1e-6 of its extent counts as flat, as the measure jumps there; the
+    tolerances are relative, so the value scales with the points.  ``resolution`` is checked but
+    no longer changes the value.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError("points must form a (P, q) array")
     n_points, dim = pts.shape
+    if pts.size == 0:
+        raise ValueError(f"points must be nonempty, got shape {pts.shape}")
     if n_points > _MAX_POINTS or dim > _MAX_DIM:
         raise ValueError(
             f"diagnostic limited to {_MAX_POINTS} points in dimension <= {_MAX_DIM}, "
@@ -215,36 +230,18 @@ def nonconvexity_measure(points, resolution: float = 0.01) -> float:
     if not 0 < resolution <= 1:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution}")
 
-    steps = round(1.0 / resolution)
-    axes = []
-    for d in range(dim):
-        lo, hi = pts[:, d].min(), pts[:, d].max()
-        axes.append(np.linspace(lo, hi, steps + 1) if hi > lo else np.array([lo]))
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-    sqnorms = np.einsum("ij,ij->i", pts, pts)
-    rhs = np.concatenate([grid, np.ones((grid.shape[0], 1))], axis=1).T  # (q+1, G)
-    best = np.full(grid.shape[0], np.inf)
-    scale = float(np.abs(rhs).max())  # >= 1: rhs holds a row of ones
-
-    for size in range(1, dim + 2):
-        for subset in itertools.combinations(range(n_points), size):
-            basis = np.concatenate([pts[subset, :].T, np.ones((1, size))], axis=0)  # (q+1, s)
-            if size == dim + 1:
-                try:
-                    weights = np.linalg.solve(basis, rhs)
-                except np.linalg.LinAlgError:
-                    continue  # affinely dependent support, covered by its subsets
-                residual = np.zeros(grid.shape[0])
-            else:
-                weights, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-                residual = np.abs(basis @ weights - rhs).max(axis=0)
-            feasible = (weights.min(axis=0) >= -_WEIGHT_TOL) & (residual <= _FEAS_TOL * scale)
-            value = sqnorms[list(subset)] @ weights
-            np.minimum(best, np.where(feasible, value, np.inf), out=best)
-
-    inside = np.isfinite(best)
-    if not inside.any():
-        return 0.0
-    variances = best[inside] - np.einsum("ij,ij->i", grid[inside], grid[inside])
-    return float(np.sqrt(max(float(variances.max()), 0.0)))
+    spread = pts - pts[0]  # a set flatter than sqrt(_FLAT) of its extent spans fewer dimensions
+    rank = int(np.linalg.matrix_rank(spread, tol=math.sqrt(_FLAT) * np.abs(spread).max()))
+    subsets, cells, best = itertools.combinations(range(n_points), rank + 1), [], 0.0
+    while rank and (block := np.array([*itertools.islice(subsets, _SUBSETS)], np.intp)).size:
+        block, _, u = _circumspheres(pts, block)
+        to_points = pts - pts[block[:, :1]]
+        power = np.einsum("bpq,bpq->bp", to_points, to_points - 2.0 * u[:, None])  # |p-c|^2 - R^2
+        power[np.arange(len(block))[:, None], block] = 0.0  # a cell's own vertices, up to rounding
+        cells.append(block[(power >= -_INSIDE * np.einsum("bq,bq->b", u, u)[:, None]).all(axis=1)])
+    for size in range(2, rank + 2):
+        faces = np.concatenate(cells)[:, list(itertools.combinations(range(rank + 1), size))]
+        _, mu, u = _circumspheres(pts, faces.reshape(-1, size))
+        held = (mu.min(axis=1) >= 0.0) & (mu.sum(axis=1) <= 1.0)  # the face holds its centre
+        best = max(best, float(np.einsum("bq,bq->b", u[held], u[held]).max(initial=0.0)))
+    return math.sqrt(best)

@@ -104,6 +104,8 @@ def bernoulli_matrix(
     the lexicographic (k, j, i) order when the caller keys the stream by
     the iteration, also when drawn a block of rows at a time, as here.
     """
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
     switches, step = np.empty((n_draws, n_agents), dtype=bool), max(_BLOCK // n_agents, 1)
     for j in range(0, n_draws, step):
         np.less(rng.random(switches[j:j + step].shape), omega, out=switches[j:j + step])

@@ -1,6 +1,6 @@
-import inspect
+import itertools
 import math
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,43 +340,112 @@ class TestSampleSize:
         assert sample_size_for_confidence(100, 100, 0.1, *scaled) == expected
 
 
+def least_variance(points: np.ndarray, y: np.ndarray) -> float:
+    """The least variance of a probability measure on the points with mean ``y``, by the
+    linear program over the weights: its basic solutions are supported on affinely
+    independent subsets of at most q + 1 points, so enumerating supports solves it."""
+    rhs, best = np.append(y, 1.0), math.inf
+    for size in range(1, points.shape[1] + 2):
+        for subset in itertools.combinations(points, size):
+            support = np.array(subset)
+            basis = np.vstack([support.T, np.ones(size)])
+            weights, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
+            if weights.min() >= -1e-12 and np.abs(basis @ weights - rhs).max() <= 1e-9:
+                best = min(best, float(weights @ ((support - y) ** 2).sum(axis=1)))
+    return best
+
+
+def circumcentres(points: np.ndarray):
+    """The circumcentre of each affinely independent subset of 2 to q + 1 points, within the
+    subset's affine hull, where it lies in the subset's hull."""
+    for size in range(2, points.shape[1] + 2):
+        for subset in itertools.combinations(points, size):
+            edges = np.array(subset[1:]) - subset[0]
+            if np.linalg.matrix_rank(edges) == size - 1:
+                coef = np.linalg.solve(2.0 * edges @ edges.T, (edges**2).sum(axis=1))
+                if coef.min() >= 0 and coef.sum() <= 1:
+                    yield subset[0] + coef @ edges
+
+
+# Point sets of 1 to 6 points on a small lattice in 1 to 3 dimensions, with repeats,
+# collinear and cocircular points; over 3 so that their coordinates round.
+LATTICE_SETS = st.integers(1, 3).flatmap(lambda q: st.lists(
+    st.lists(st.integers(-4, 4), min_size=q, max_size=q), min_size=1, max_size=6,
+).map(lambda rows: np.array(rows, dtype=float) / 3.0))
+
+
 class TestNonconvexityMeasure:
     def test_two_point_set_is_half_exactly(self):
         assert nonconvexity_measure([[0.0], [1.0]]) == 0.5
 
     def test_a_repeated_point_changes_nothing(self):
-        # The support {0, 0} is affinely dependent: its solve is singular and skipped.
+        # The pair {0, 0} has a zero Gram determinant: it is no cell.
         assert nonconvexity_measure([[0.0], [0.0], [1.0]]) == 0.5
 
-    def test_a_tilted_triangle_reads_zero_on_a_coarse_grid(self):
-        # The hull is a plane triangle in 3-D: no point of the 3x3x3 grid lies on it.
-        triangle = [[0.0, 0.0, 0.0], [1.0, 0.3, 0.7], [0.4, 1.0, 0.1]]
-        assert nonconvexity_measure(triangle, resolution=0.5) == 0.0
-        assert nonconvexity_measure(triangle, resolution=0.05) == pytest.approx(
-            0.6284902544988268, rel=1e-12)
+    @pytest.mark.parametrize("resolution", [0.5, 0.05])
+    def test_a_tilted_triangle_reads_its_circumradius(self, resolution):
+        # The hull is an acute plane triangle in 3-D: the measure is its circumradius.
+        a, b, c = np.array([[0.0, 0.0, 0.0], [1.0, 0.3, 0.7], [0.4, 1.0, 0.1]])
+        area = np.linalg.norm(np.cross(b - a, c - a)) / 2
+        sides = np.linalg.norm(b - c) * np.linalg.norm(a - c) * np.linalg.norm(a - b)
+        value = nonconvexity_measure([a, b, c], resolution=resolution)
+        assert value == pytest.approx(sides / (4 * area), rel=1e-14)
 
-    def test_no_grid_point_on_the_hull_returns_zero_early(self):
-        # No vertex of this tilted triangle is a corner of its bounding box, and at
-        # resolution 0.5 no grid point lies on it: every grid point drops out.
-        source, first = inspect.getsourcelines(nonconvexity_measure)
-        early = first + next(i for i, line in enumerate(source) if "return 0.0" in line)
-        lines, code = set(), nonconvexity_measure.__code__
+    @pytest.mark.parametrize("points, expected", [
+        ([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]], 1 / math.sqrt(3)),
+        ([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], math.sqrt(3)),
+        ([[i, j] for i in range(4) for j in range(4)], 1 / math.sqrt(2)),
+    ], ids=["equilateral-triangle", "regular-tetrahedron", "4x4-lattice"])
+    def test_closed_forms(self, points, expected):
+        # The circumradius of a regular simplex; half the diagonal of a lattice square.
+        assert nonconvexity_measure(points) == pytest.approx(expected, rel=1e-14)
 
-        def tracer(frame, event, arg):
-            if frame.f_code is not code:
-                return None
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return tracer
+    @pytest.mark.parametrize("points, expected", [
+        ([[0.0], [1e-12]], 5e-13),
+        ([[0.0, 0.0], [1.0, 0.0]], 0.5),
+    ], ids=["tiny-pair", "flat-pair-in-2-d"])
+    def test_exact_values(self, points, expected):
+        assert nonconvexity_measure(points) == expected
 
-        previous = sys.gettrace()
-        sys.settrace(tracer)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=64))
+    def test_in_one_dimension_it_is_half_the_largest_gap(self, values):
+        gaps = np.diff(np.sort(values))
+        expected = gaps.max() / 2 if gaps.size else 0.0
+        value = nonconvexity_measure(np.array(values)[:, None])
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LATTICE_SETS, st.integers(-40, 40))
+    def test_scales_exactly_by_powers_of_two(self, points, k):
+        scaled = nonconvexity_measure(np.ldexp(points, k))
+        assert scaled == math.ldexp(nonconvexity_measure(points), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LATTICE_SETS, st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+    def test_squared_it_is_the_largest_least_variance(self, points, mix):
+        # The largest least variance is at a circumcentre: the oracle's maximum over them
+        # is the squared measure, and no convex combination of the points exceeds it.
+        rho2 = nonconvexity_measure(points) ** 2
+        weights = np.array(mix[:len(points)]) + 1e-3
+        y = weights @ points / weights.sum()
+        assert least_variance(points, y) <= rho2 * (1 + 1e-12) + 1e-15
+        top = max((least_variance(points, c) for c in circumcentres(points)), default=0.0)
+        assert rho2 == pytest.approx(top, rel=1e-9, abs=1e-15)
+
+    def test_the_largest_inputs_complete_in_small_memory(self):
+        # 64 points in 3-D have 635,376 subsets to try; in 2-D 41,664, whose offsets to the
+        # points would take 43 MB at once.  Blocks of subsets keep the peak far below.
+        points = np.random.default_rng(0).normal(size=(64, 3))
+        value = nonconvexity_measure(points)
+        assert 0 < value < np.linalg.norm(points - points.mean(axis=0), axis=1).max()
+        tracemalloc.start()
         try:
-            value = nonconvexity_measure([[0, 0, 0.3], [1, 0.3, 0], [0.3, 1, 1]], resolution=0.5)
+            nonconvexity_measure(points[:, :2])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.settrace(previous)
-        assert value == 0.0
-        assert early in lines
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_three_point_chain(self):
         # The worst mean sits halfway into a sub-segment: variance 1/16.
@@ -422,7 +491,10 @@ class TestNonconvexityMeasure:
         (np.zeros((2, 2, 2)), 0.01, r"points must form a \(P, q\) array"),
         ([[0.0], [math.nan]], 0.01, "points must be finite"),
         ([[0.0], [1.0]], 0, r"resolution must lie in \(0, 1\], got 0"),
-    ], ids=["3-d", "nan-point", "zero-resolution"])
+        ([], 0.01, r"points must be nonempty, got shape \(1, 0\)"),
+        ([[]], 0.01, r"points must be nonempty, got shape \(1, 0\)"),
+        (np.zeros((0, 2)), 0.01, r"points must be nonempty, got shape \(0, 2\)"),
+    ], ids=["3-d", "nan-point", "zero-resolution", "empty-list", "empty-row", "no-points"])
     def test_rejects_malformed_inputs(self, points, resolution, message):
         with pytest.raises(ValueError, match=message):
             nonconvexity_measure(points, resolution=resolution)

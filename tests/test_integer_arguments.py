@@ -8,7 +8,12 @@ import pytest
 
 import aggfw
 from aggfw import rng as _rng
-from aggfw.bounds import compute_constants, sample_size_for_confidence, sfw_tail_constants
+from aggfw.bounds import (
+    compute_constants,
+    sample_size_for_confidence,
+    sfw_tail,
+    sfw_tail_constants,
+)
 from aggfw.frank_wolfe import fw_run, fw_with_selection
 from aggfw.measures import DiscreteMeasure, MeasureProfile, contribution_variance, select_best
 from aggfw.problems import zero_gradient_profile
@@ -85,6 +90,12 @@ SITES = {
     "sample_size_for_confidence.n_agents": (
         "n_agents", 1, lambda p, v: sample_size_for_confidence(1, v, 0.1, 1.0, 1.0),
     ),
+    "sfw_tail_constants.schedule": (
+        "schedule size at iteration 1", 1, lambda p, v: sfw_tail_constants(5, 1.0, Sizes(v), 10),
+    ),
+    "sfw_tail.schedule": (
+        "schedule size at iteration 1", 1, lambda p, v: sfw_tail(5, 0.1, 10, 1.0, Sizes(v)),
+    ),
     "sfw_tail_constants.n_agents": (
         "n_agents", 1, lambda p, v: sfw_tail_constants(5, 1.0, ConstantSchedule(2), v),
     ),
@@ -107,7 +118,7 @@ SITES = {
 }
 
 BAD = {"True": True, "np.True_": np.True_, "2.0": 2.0, "2.5": 2.5, '"3"': "3", "nan": math.nan,
-       "0.9": 0.9, "1.7": 1.7, "below": None}
+       "0.9": 0.9, "1.7": 1.7, "below": None, "-3": -3}
 
 
 @pytest.mark.parametrize("bad", list(BAD))

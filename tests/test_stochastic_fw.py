@@ -174,6 +174,13 @@ class TestSfwStep:
         with pytest.raises(ValueError, match=r"switch probability must lie in \[0, 1\], got 1.5"):
             stopping_time_step(miqp_small, start, 4, 1.5, _rng.stream(0))
 
+    @pytest.mark.parametrize("omega", [math.nan, 1.5, -0.1])
+    def test_bernoulli_matrix_rejects_a_switch_probability_outside_the_unit_interval(self, omega):
+        # NaN gave all-False rows and 1.5 all-True rows.
+        message = rf"switch probability must lie in \[0, 1\], got {omega}"
+        with pytest.raises(ValueError, match=message):
+            bernoulli_matrix(_rng.stream(0), 2, 3, omega)
+
     @pytest.mark.parametrize("n_draws", [True, 2.5, 3.0, math.nan])
     def test_rejects_a_draw_count_that_is_not_an_integer(self, miqp_small, n_draws):
         start = zero_gradient_profile(miqp_small)
