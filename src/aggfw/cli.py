@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,16 +279,13 @@ def _reference_value(problem: MiqpInstance) -> float:
 
 @dataclass(frozen=True)
 class _RunSpec:
-    """A validated run configuration; ``algorithm`` is ``fw`` or ``sfw``."""
+    """A validated run; ``solve(seed)`` returns its final iterate and CSV rows."""
 
     problem: MiqpInstance
     n_iters: int
-    algorithm: str
-    rule: CanonicalStep | LineSearchFwStep | LineSearchSfwStep
-    schedule: ConstantSchedule | QuadraticSchedule
-    stopping: bool
-    keep_if_worse: bool
+    algorithm: str  # "fw" or "sfw"
     svg: bool
+    solve: Callable[[int], tuple]
 
 
 def _parse_run(merged: dict, command: str) -> _RunSpec:
@@ -310,30 +308,21 @@ def _parse_run(merged: dict, command: str) -> _RunSpec:
     if rule_name == foreign:
         where = "" if command == "sweep" else f", not {command}"
         raise ConfigError(f"the {foreign} rule drives the {solver} solver{where}")
-    return _RunSpec(
-        problem,
-        n_iters,
-        algorithm,
-        rule=parse_rule(rule_name, problem),
-        schedule=parse_schedule(schedule or "const:1"),
-        stopping=stopping,
-        keep_if_worse=_switch(merged, "keep_if_worse", True),
-        svg=_switch(merged, "svg", False),
-    )
+    rule = parse_rule(rule_name, problem)
+    schedule = parse_schedule(schedule or "const:1")
+    keep_if_worse = _switch(merged, "keep_if_worse", True)
 
+    def solve(seed: int):
+        if algorithm == "fw":
+            profile, records = fw_run(problem, n_iters, rule=rule)
+        elif stopping:
+            profile, records = stopping_time_run(problem, n_iters, seed)
+        else:
+            profile, records = sfw_run(problem, n_iters, schedule, seed, rule=rule,
+                                       keep_if_worse=keep_if_worse)
+        return profile, _rows(records)
 
-def _run(spec: _RunSpec, seed: int):
-    """One solver run under ``seed``: the final iterate and the CSV rows."""
-    if spec.algorithm == "fw":
-        profile, records = fw_run(spec.problem, spec.n_iters, rule=spec.rule)
-    elif spec.stopping:
-        profile, records = stopping_time_run(spec.problem, spec.n_iters, seed)
-    else:
-        profile, records = sfw_run(
-            spec.problem, spec.n_iters, spec.schedule, seed,
-            rule=spec.rule, keep_if_worse=spec.keep_if_worse,
-        )
-    return profile, _rows(records)
+    return _RunSpec(problem, n_iters, algorithm, _switch(merged, "svg", False), solve)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -376,7 +365,7 @@ def cmd_run(merged: dict, command: str) -> int:
         write_csv(csv_path, [])
         print(f"empty run: wrote header-only {csv_path}")
         return EXIT_OK
-    profile, rows = _run(spec, seeds[0])
+    profile, rows = spec.solve(seeds[0])
     write_csv(csv_path, rows)
     final = rows[-1]
     if name == "fw":
@@ -407,10 +396,10 @@ def cmd_sweep(merged: dict) -> int:
     out_dir = _text(merged, "out", required=True)
     reference = _reference_value(spec.problem)
 
-    fw_rows = _run(spec, seeds[0])[1] if spec.algorithm == "fw" else None  # FW reads no seed
+    fw_rows = spec.solve(seeds[0])[1] if spec.algorithm == "fw" else None  # FW reads no seed
     per_seed = []
     for seed in seeds:
-        rows = fw_rows if fw_rows is not None else _run(spec, seed)[1]
+        rows = fw_rows if fw_rows is not None else spec.solve(seed)[1]
         write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), rows)
         per_seed.append(np.array([row["value"] - reference for row in rows]))
 
@@ -436,8 +425,11 @@ def cmd_sweep(merged: dict) -> int:
 def _parse_float_list(value, fallback: list[float]) -> list[float]:
     if value is None:
         return fallback
+    parts = _split_list(value)
+    if any(isinstance(v, bool) for v in parts):
+        raise ConfigError(f"bad number list {value!r}: true and false are not numbers")
     try:
-        return [float(v) for v in _split_list(value)] or fallback
+        return [float(v) for v in parts] or fallback
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad number list {value!r}: {exc}") from exc
 
@@ -445,66 +437,64 @@ def _parse_float_list(value, fallback: list[float]) -> list[float]:
 def cmd_bounds(merged: dict) -> int:
     problem = _load_problem(merged)
     constants = compute_constants(problem)
-    n = constants.n_agents
+    n, c0, c1 = constants.n_agents, constants.c0, constants.c1
     n_iters = _int_option(merged, "iters", 1, default=min(2 * n, 200))
     schedule_text = _text(merged, "schedule") or "const:1"
     out = _text(merged, "out")
     schedule = parse_schedule(schedule_text)
-    eps_list = _parse_float_list(merged.get("eps"), [gap_bound_basic(constants)])
+    basic = gap_bound_basic(constants)
+    eps_list = _parse_float_list(merged.get("eps"), [basic])
     if any(not 0 <= eps < math.inf for eps in eps_list):
         raise ConfigError(f"epsilons must be finite and nonnegative, got {eps_list}")
     zeta_list = _parse_float_list(merged.get("zeta"), [0.1])
     if any(not 0 < z < 1 for z in zeta_list):
         raise ConfigError(f"confidence levels must lie in (0, 1), got {zeta_list}")
 
-    v_k, m_k = sfw_tail_constants(n_iters, constants.c0, schedule, n)
-    report = {
-        "n_agents": n,
-        "n_blocks": problem.n_blocks,
-        "total_dim": constants.total_dim,
-        "c0": constants.c0,
-        "c1": constants.c1,
-        "gap_bound_basic": gap_bound_basic(constants),
-        "gap_bound_refined": gap_bound_refined(constants),
-        "selection_tail": {
-            str(eps): mcdiarmid_tail(n, eps, constants.c0) for eps in eps_list
-        },
-        "selection_sample_size": {
-            str(zeta): sample_size_for_confidence(min(n_iters, n), n, zeta, constants.c0,
-                                                  constants.c1)
-            for zeta in zeta_list
-        },
-        "sfw": {
-            "iterations": n_iters,
-            "schedule": schedule_text,
-            "v_K": v_k,
-            "m_K": m_k,
-            "expectation_bound": 4.0 * constants.c1 / n_iters,
-            "tail": {str(eps): sfw_tail(n_iters, eps, n, constants.c0, schedule)
-                     for eps in eps_list},
-        },
-    }
-    if isinstance(schedule, QuadraticSchedule):
-        report["sfw"]["success_probability"] = 1.0 - math.exp(-schedule.a / 12.0)
+    v_k, m_k = sfw_tail_constants(n_iters, c0, schedule, n)
+    refined = gap_bound_refined(constants)
+    k = min(n_iters, n)
+    selection_tails = [mcdiarmid_tail(n, eps, c0) for eps in eps_list]
+    draws = [sample_size_for_confidence(k, n, zeta, c0, c1) for zeta in zeta_list]
+    expectation = 4.0 * c1 / n_iters
+    sfw_tails = [sfw_tail(n_iters, eps, n, c0, schedule) for eps in eps_list]
+    quadratic = isinstance(schedule, QuadraticSchedule)
+    success = 1.0 - math.exp(-schedule.a / 12.0) if quadratic else None
 
-    print(f"constants: C0 = {constants.c0:.6g}, C1 = {constants.c1:.6g} "
+    print(f"constants: C0 = {c0:.6g}, C1 = {c1:.6g} "
           f"(N={n}, M={problem.n_blocks}, q={constants.total_dim})")
-    print(f"randomization gap  C1/(2N)        = {report['gap_bound_basic']:.6g}")
-    print(f"randomization gap  D[q^N]/(2N^2)  = {report['gap_bound_refined']:.6g}")
-    for eps in eps_list:
-        print(f"selection tail     exp(-2N eps^2/C0^2) @ eps={eps:g} = "
-              f"{report['selection_tail'][str(eps)]:.6g}")
-    for zeta in zeta_list:
-        print(f"selection draws    n(zeta={zeta:g}, k={min(n_iters, n)}) = "
-              f"{report['selection_sample_size'][str(zeta)]}")
-    print(f"sfw expectation    4 C1/K @ K={n_iters} = {report['sfw']['expectation_bound']:.6g}")
+    print(f"randomization gap  C1/(2N)        = {basic:.6g}")
+    print(f"randomization gap  D[q^N]/(2N^2)  = {refined:.6g}")
+    for eps, tail in zip(eps_list, selection_tails):
+        print(f"selection tail     exp(-2N eps^2/C0^2) @ eps={eps:g} = {tail:.6g}")
+    for zeta, count in zip(zeta_list, draws):
+        print(f"selection draws    n(zeta={zeta:g}, k={k}) = {count}")
+    print(f"sfw expectation    4 C1/K @ K={n_iters} = {expectation:.6g}")
     print(f"sfw tail constants v_K = {v_k:.6g}, m_K = {m_k:.6g} (schedule {schedule_text})")
-    for eps in eps_list:
-        print(f"sfw tail           @ eps={eps:g} = {report['sfw']['tail'][str(eps)]:.6g}")
-    if "success_probability" in report["sfw"]:
-        print(f"sfw schedule success probability 1-exp(-A/12) = "
-              f"{report['sfw']['success_probability']:.6g}")
+    for eps, tail in zip(eps_list, sfw_tails):
+        print(f"sfw tail           @ eps={eps:g} = {tail:.6g}")
+    if quadratic:
+        print(f"sfw schedule success probability 1-exp(-A/12) = {success:.6g}")
     if out:
+        report = {
+            "n_agents": n,
+            "n_blocks": problem.n_blocks,
+            "total_dim": constants.total_dim,
+            "c0": c0,
+            "c1": c1,
+            "gap_bound_basic": basic,
+            "gap_bound_refined": refined,
+            "selection_tail": dict(zip(map(str, eps_list), selection_tails)),
+            "selection_sample_size": dict(zip(map(str, zeta_list), draws)),
+            "sfw": {
+                "iterations": n_iters,
+                "schedule": schedule_text,
+                "v_K": v_k,
+                "m_K": m_k,
+                "expectation_bound": expectation,
+                "tail": dict(zip(map(str, eps_list), sfw_tails)),
+                **({"success_probability": success} if quadratic else {}),
+            },
+        }
         write_atomic(out, json.dumps(report, indent=2) + "\n")
         print(f"wrote {out}")
     return EXIT_OK

@@ -175,6 +175,9 @@ class MeasureProfile:
     def from_atoms(cls, weights, tokens, agents=None) -> "MeasureProfile":
         """Row i merges the raw atoms ``zip(weights[i], tokens[i])`` of (N, S) arrays, as
         ``mix`` does; ``agents[i]`` (default i) names row i in errors."""
+        if np.ndim(weights) != 2 or np.shape(weights) != np.shape(tokens):
+            raise ValueError(f"weights {np.shape(weights)} and tokens {np.shape(tokens)} "
+                             "must be (N, S) arrays of the same shape")
         agents = range(len(weights)) if agents is None else agents
         if (weights < 0).any():
             agent = agents[int((weights < 0).any(axis=1).argmax())]

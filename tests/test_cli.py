@@ -268,6 +268,22 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "C0" in out and "v_K" in out
 
+    def test_repeated_entries_print_each_and_store_one_key(self, tmp_path, instance_path, capsys):
+        report_path = tmp_path / "r.json"
+        assert main(["bounds", "--instance", str(instance_path), "--eps", "0.5,0.5",
+                     "--zeta", "0.1,0.1", "--out", str(report_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        report = json.loads(report_path.read_text())
+        for prefix, values in [("selection tail ", report["selection_tail"]),
+                               ("selection draws ", report["selection_sample_size"]),
+                               ("sfw tail  ", report["sfw"]["tail"])]:
+            printed = [line.rsplit(" = ", 1)[1] for line in lines if line.startswith(prefix)]
+            assert len(printed) == 2 and len(values) == 1
+            value = next(iter(values.values()))
+            assert printed == [str(value) if isinstance(value, int) else f"{value:.6g}"] * 2
+        assert list(report["selection_tail"]) == list(report["sfw"]["tail"]) == ["0.5"]
+        assert list(report["selection_sample_size"]) == ["0.1"]
+
     def test_missing_instance_is_config_error(self, tmp_path):
         assert main(["bounds", "--instance", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -338,6 +354,9 @@ class TestMisuse:
             ("run-sfw", {"schedule": 5}),
             ("run-sfw", {"schedule": ["const:2"]}),
             ("bounds", {"schedule": 5}),
+            ("bounds", {"eps": [True]}),
+            ("bounds", {"eps": [0.5, False]}),
+            ("bounds", {"zeta": [True]}),
             ("generate", {"out": 5}),
             ("run-fw", {"out": 5}),
             ("bounds", {"out": 5}),
@@ -363,6 +382,27 @@ class TestMisuse:
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "inst.json").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ({"rule": "newton", "schedule": "quad:-1"}, "unknown step rule 'newton'"),
+            ({"schedule": "quad:-1", "svg": "yes"}, "bad schedule parameter in 'quad:-1'"),
+            ({"schedule": "quad:-1", "keep_if_worse": 1}, "bad schedule parameter"),
+            ({"keep_if_worse": 1, "svg": "yes"}, "--keep-if-worse must be true or false"),
+        ],
+    )
+    def test_the_first_bad_run_option_is_named(
+        self, tmp_path, instance_path, entries, named, capsys
+    ):
+        """The rule, the schedule, --keep-if-worse and --svg are checked in that order."""
+        config = {"instance": str(instance_path), "iters": 3, "out": str(tmp_path / "x")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config | entries))
+        assert main(["run-sfw", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert err.count("\n") == 1 and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -43,6 +43,13 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError, match="atom weights for agent 3 sum to 0.75"):
             MeasureProfile.from_atoms(np.array([[1.0, 0.0], [0.5, 0.25]]), tokens, (7, 3))
 
+    @pytest.mark.parametrize("weights_shape", [(2, 1), (2, 3), (3, 2), (2,), (2, 2, 1)])
+    def test_from_atoms_rejects_mismatched_shapes(self, weights_shape):
+        weights = np.full(weights_shape, 1.0 / weights_shape[-1])
+        tokens = np.array([[0, 1], [0, 1]], dtype=object)
+        with pytest.raises(ValueError, match="arrays of the same shape"):
+            MeasureProfile.from_atoms(weights, tokens)
+
     def test_duplicates_merge_by_weight(self):
         m = DiscreteMeasure(0, [(0.25, "a"), (0.5, "b"), (0.25, "a")])
         assert m.atoms == ((0.5, "a"), (0.5, "b"))
