@@ -101,11 +101,7 @@ def _ldexp(x: float, e: int) -> float:
 
 def mcdiarmid_tail(n_agents: int, epsilon: float, c0: float) -> float:
     """Failure probability bound exp(-2 N eps^2 / C0^2) for the selection method."""
-    n_agents, e = _tail_count(n_agents, c0, epsilon), _exponent(epsilon, c0)
-    epsilon, c0 = math.ldexp(epsilon, -e), math.ldexp(c0, -e)
-    if c0**2 == 0 or epsilon == math.inf:  # C0 is 0, or eps / C0 > 2^536
-        return 1.0 if epsilon == 0 else 0.0
-    return float(np.exp(-2.0 * n_agents * epsilon**2 / c0**2))
+    return _bernstein_tail(n_agents, epsilon, c0, lambda n, e: (math.ldexp(c0, -e) ** 2 / 4, 0.0))
 
 
 def _bernstein_tail(n_agents, epsilon: float, c0: float, constants) -> float:

@@ -9,6 +9,8 @@ per-block variances, and sampling.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .problems import Aggregate, Decision, DecisionProfile, ProblemInstance, _count
@@ -87,6 +89,7 @@ class _Atoms:
         return MeasureProfile._of(self.weights[:width].T, self.tokens[:width].T, self.sizes)
 
 
+@dataclass(slots=True)
 class DiscreteMeasure:
     """Finitely supported probability distribution for one agent.
 
@@ -97,10 +100,11 @@ class DiscreteMeasure:
     Instances are immutable.
     """
 
-    __slots__ = ("agent", "atoms")
+    agent: int
+    atoms: tuple
 
-    def __init__(self, agent: int, atoms):
-        self.agent, atoms = _count(agent, "agent", 0), list(atoms)
+    def __post_init__(self):
+        self.agent, atoms = _count(self.agent, "agent", 0), list(self.atoms)
         # fromiter keeps each token whole: a tuple decision is one token.
         tokens = np.fromiter((d for _, d in atoms), dtype=object, count=len(atoms))[None]
         weights = np.array([[float(w) for w, _ in atoms]])
@@ -134,14 +138,6 @@ class DiscreteMeasure:
         """E_mu[g_i]."""
         return self._rows(problem)[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscreteMeasure):
-            return NotImplemented
-        return self.agent == other.agent and self.atoms == other.atoms
-
-    def __repr__(self) -> str:
-        return f"DiscreteMeasure(agent={self.agent}, atoms={self.atoms!r})"
-
 
 class MeasureProfile:
     """One finitely supported distribution per agent.  Row i of the (N, S) arrays
@@ -174,11 +170,13 @@ class MeasureProfile:
     @classmethod
     def from_atoms(cls, weights, tokens, agents=None) -> "MeasureProfile":
         """Row i merges the raw atoms ``zip(weights[i], tokens[i])`` of (N, S) arrays, as
-        ``mix`` does; ``agents[i]`` (default i) names row i in errors."""
+        ``mix`` does; ``agents[i]`` (default i), one per row, names row i in errors."""
         if np.ndim(weights) != 2 or np.shape(weights) != np.shape(tokens):
             raise ValueError(f"weights {np.shape(weights)} and tokens {np.shape(tokens)} "
                              "must be (N, S) arrays of the same shape")
         agents = range(len(weights)) if agents is None else agents
+        if len(agents) != len(weights):
+            raise ValueError(f"{len(agents)} agents for {len(weights)} rows: need one per row")
         if (weights < 0).any():
             agent = agents[int((weights < 0).any(axis=1).argmax())]
             raise ValueError(f"negative atom weight {weights[weights < 0][0]} for agent {agent}")

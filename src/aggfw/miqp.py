@@ -220,6 +220,7 @@ def reference_relaxed_optimum(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    max_iters = _count(max_iters, "max_iters")
     abs_a, n = np.abs(instance.matrix), instance.n_agents
     lip = 2.0 * abs_a.sum(axis=0).max() * abs_a.sum(axis=1).max() / n**2
     step = 1.0 / lip if lip > 0 else 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import DecisionProfile, ProblemInstance, objective
+from .problems import DecisionProfile, ProblemInstance, _count, objective
 
 _ENUMERATION_CAP = 2**20
 
@@ -132,6 +132,7 @@ def mc_check_bernoulli_increment(
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
+    n_samples, n_inner = _count(n_samples, "n_samples"), _count(n_inner, "n_inner")
     us = np.empty(n_samples)
     for s in range(n_samples):
         a = sample_a(rng)

@@ -106,6 +106,7 @@ def bernoulli_matrix(
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"switch probability must lie in [0, 1], got {omega}")
+    n_draws, n_agents = _count(n_draws, "n_draws"), _count(n_agents, "n_agents")
     switches, step = np.empty((n_draws, n_agents), dtype=bool), max(_BLOCK // n_agents, 1)
     for j in range(0, n_draws, step):
         np.less(rng.random(switches[j:j + step].shape), omega, out=switches[j:j + step])

@@ -21,6 +21,7 @@ from aggfw.bounds import (
     sfw_tail_constants,
     variance_proxy,
 )
+from aggfw.bounds import _exponent, _tail_count
 from aggfw.measures import DiscreteMeasure
 from aggfw.stochastic_fw import ConstantSchedule, QuadraticSchedule
 
@@ -142,6 +143,42 @@ class TestMcDiarmidTails:
         sigma2 = 0.3 * 0.7 * float(column @ column)
         expected = 2.0 / 100 * float(lip @ lip) * sigma2
         assert variance_proxy(miqp_small, measure) == pytest.approx(expected, rel=1e-12)
+
+
+def reference_mcdiarmid_tail(n_agents, epsilon, c0):
+    """``mcdiarmid_tail`` with its own scaling and edge rules, kept as the reference."""
+    n_agents, e = _tail_count(n_agents, c0, epsilon), _exponent(epsilon, c0)
+    epsilon, c0 = math.ldexp(epsilon, -e), math.ldexp(c0, -e)
+    if c0**2 == 0 or epsilon == math.inf:  # C0 is 0, or eps / C0 > 2^536
+        return 1.0 if epsilon == 0 else 0.0
+    return float(np.exp(-2.0 * n_agents * epsilon**2 / c0**2))
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+# 0, the smallest subnormal, both sides of the 2^-536 and 2^+-500 scaling edges, everyday
+# values and the largest floats; then inputs the tails reject.
+TAIL_GRID = [0.0, 5e-324, 2.0**-600, 2.0**-537, 2.0**-536, 2.0**-500, 2.0**-499, 1e-170, 0.1,
+             0.25, 1.0, 7 / 3, 3.7, 1359042.562011857, 2.0**499, 2.0**500, 2.0**501, 2.0**600,
+             1e200, 1.7e308, math.inf, -1.0, math.nan]
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 10, 10**6, 2**53 + 1, 2**60, np.int64(7), 0, 2.0])
+def test_mcdiarmid_tail_keeps_its_bits(n_agents):
+    for epsilon, c0 in itertools.product(TAIL_GRID, repeat=2):
+        got = outcome(mcdiarmid_tail, n_agents, epsilon, c0)
+        expected = outcome(reference_mcdiarmid_tail, n_agents, epsilon, c0)
+        if isinstance(expected, float):
+            assert isinstance(got, float) and got == expected, (epsilon, c0)
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected), (epsilon, c0)
+        else:
+            assert got == expected, (epsilon, c0)
 
 
 class TestSfwTailConstants:

@@ -16,9 +16,12 @@ from aggfw.bounds import (
 )
 from aggfw.frank_wolfe import fw_run, fw_with_selection
 from aggfw.measures import DiscreteMeasure, MeasureProfile, contribution_variance, select_best
+from aggfw.miqp import reference_relaxed_optimum
+from aggfw.oracles import mc_check_bernoulli_increment
 from aggfw.problems import zero_gradient_profile
 from aggfw.stochastic_fw import (
     ConstantSchedule,
+    bernoulli_matrix,
     canonical_active_expectation,
     default_draw_cap,
     sfw_run,
@@ -26,6 +29,12 @@ from aggfw.stochastic_fw import (
     stopping_time_run,
     stopping_time_step,
 )
+
+
+def increment_check(n_samples=4, n_inner=2):
+    """``mc_check_bernoulli_increment`` on f(a, b, c) = b, with the counts given."""
+    return mc_check_bernoulli_increment(0.5, 1.0, lambda a, b, c: b, lambda rng: 0,
+                                        lambda rng: 0, _rng.stream(0), n_samples, n_inner)
 
 
 class Sizes:
@@ -104,6 +113,21 @@ SITES = {
     ),
     "DiscreteMeasure.agent": ("agent", 0, lambda p, v: DiscreteMeasure(v, [(1.0, 0)])),
     "DiscreteMeasure.dirac": ("agent", 0, lambda p, v: DiscreteMeasure.dirac(v, 0)),
+    "bernoulli_matrix.n_draws": (
+        "n_draws", 1, lambda p, v: bernoulli_matrix(_rng.stream(0), v, 3, 0.5),
+    ),
+    "bernoulli_matrix.n_agents": (
+        "n_agents", 1, lambda p, v: bernoulli_matrix(_rng.stream(0), 3, v, 0.5),
+    ),
+    "reference_relaxed_optimum.max_iters": (
+        "max_iters", 1, lambda p, v: reference_relaxed_optimum(p, max_iters=v),
+    ),
+    "mc_check_bernoulli_increment.n_samples": (
+        "n_samples", 1, lambda p, v: increment_check(n_samples=v),
+    ),
+    "mc_check_bernoulli_increment.n_inner": (
+        "n_inner", 1, lambda p, v: increment_check(n_inner=v),
+    ),
     "generate.m": ("m", 1, lambda p, v: aggfw.generate(v, 4, 1)),
     "generate.n": ("n", 1, lambda p, v: aggfw.generate(3, v, 1)),
     "BalancedSignsInstance": ("n_agents", 1, lambda p, v: aggfw.BalancedSignsInstance(v)),

@@ -43,6 +43,14 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError, match="atom weights for agent 3 sum to 0.75"):
             MeasureProfile.from_atoms(np.array([[1.0, 0.0], [0.5, 0.25]]), tokens, (7, 3))
 
+    @pytest.mark.parametrize("agents", [(7,), (7, 3, 5)])
+    @pytest.mark.parametrize("weights", [[[1.0, 0.0], [1.5, -0.5]], [[1.0, 0.0], [0.5, 0.5]]],
+                             ids=["negative", "valid"])
+    def test_from_atoms_needs_one_agent_per_row(self, weights, agents):
+        tokens = np.array([[0, 1], [0, 1]], dtype=object)
+        with pytest.raises(ValueError, match=f"{len(agents)} agents for 2 rows"):
+            MeasureProfile.from_atoms(np.array(weights), tokens, agents)
+
     @pytest.mark.parametrize("weights_shape", [(2, 1), (2, 3), (3, 2), (2,), (2, 2, 1)])
     def test_from_atoms_rejects_mismatched_shapes(self, weights_shape):
         weights = np.full(weights_shape, 1.0 / weights_shape[-1])
@@ -72,6 +80,31 @@ class TestDiscreteMeasure:
     def test_profile_ownership_checked(self):
         with pytest.raises(ValueError, match="agent"):
             MeasureProfile([DiscreteMeasure(1, [(1.0, 0)])])
+
+    def test_repr(self):
+        m = DiscreteMeasure(0, [(0.25, "a"), (0.75, (1, 2))])
+        assert repr(m) == "DiscreteMeasure(agent=0, atoms=((0.25, 'a'), (0.75, (1, 2))))"
+        assert repr(MeasureProfile([m])[0]) == repr(m)
+
+    def test_equality_is_by_agent_and_atoms_only(self):
+        m = DiscreteMeasure(1, [(0.5, 0), (0.5, 1)])
+        assert m == DiscreteMeasure(1, [(0.5, 0), (0.5, 1)])
+        assert m != DiscreteMeasure(0, [(0.5, 0), (0.5, 1)])
+        assert m != DiscreteMeasure(1, [(0.5, 1), (0.5, 0)])
+        assert m.__eq__(5) is NotImplemented
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(m)
+
+    def test_slotted(self):
+        m = DiscreteMeasure.dirac(0, 1)
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.support = 1
+
+    def test_keyword_construction(self):
+        m = DiscreteMeasure(agent=2, atoms=[(0.25, "a"), (0.5, "b"), (0.25, "a")])
+        assert m == DiscreteMeasure(2, [(0.5, "a"), (0.5, "b")])
+        assert m.agent == 2 and m.atoms == ((0.5, "a"), (0.5, "b"))
 
 
 class TestRelaxedObjective:
