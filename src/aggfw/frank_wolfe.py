@@ -57,6 +57,11 @@ class LineSearchSfwStep:
     c1: float
     n_agents: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.c1 < np.inf:
+            raise ValueError(f"curvature constant must be nonnegative and finite, got {self.c1}")
+        object.__setattr__(self, "n_agents", _count(self.n_agents, "n_agents"))
+
     @classmethod
     def from_constants(cls, constants: ProblemConstants) -> "LineSearchSfwStep":
         return cls(c1=constants.c1, n_agents=constants.n_agents)

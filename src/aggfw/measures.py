@@ -97,7 +97,7 @@ class DiscreteMeasure:
     merged by weight addition, weights below ``PRUNE_WEIGHT`` are dropped
     and the remainder renormalized.  Weights are summed left to right, so
     the renormalized weights do not depend on the interpreter's ``sum``.
-    Instances are immutable.
+    Its fields are plain slots; assigning one skips every check, so build a new measure instead.
     """
 
     agent: int

@@ -52,7 +52,7 @@ class MiqpInstance(ProblemInstance):
     def __init__(self, matrix, target, seed: int | None = None):
         matrix = np.asarray(matrix, dtype=float)
         target = np.asarray(target, dtype=float)
-        if matrix.ndim != 2 or target.shape != (matrix.shape[0],):
+        if matrix.ndim != 2 or 0 in matrix.shape or target.shape != (matrix.shape[0],):
             raise ValueError("matrix must be (M, N) with a length-M target")
         if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
             raise ValueError("instance data must be finite")

@@ -129,11 +129,9 @@ class _Linearization:
 
     ``tokens`` holds the iterate's tokens with each agent marked ``solved`` at its best response to
     ``grad``, ``moved`` those whose response differs under ``==``, and ``delta`` the moved agents'
-    response rows, which the run's ``_HeldRows`` holds, less their own.  ``ybar`` and both gaps
+    response rows, which the run's ``_HeldRows`` holds, less their own.  ``ybar`` and ``beta``
     need every agent's best response; until a request for every agent they are None and NaN.
-    ``value``, f_value(y), is None until ``sfw_step`` asks.  ``beta`` takes ybar = y + mean(delta),
-    ``beta_rows`` the mean of the best-response rows: the two differ in the last bits, and the
-    recorded trajectories pin the first in the records and the second in the closed-loop step sizes.
+    ``value``, f_value(y), is None until ``sfw_step`` asks, ``beta_rows`` until ls-sfw does.
     """
 
     y: Aggregate
@@ -144,7 +142,7 @@ class _Linearization:
     moved: np.ndarray
     ybar: Aggregate | None = None
     beta: float = math.nan
-    beta_rows: float = math.nan
+    beta_rows: float | None = None
     value: float | None = None
 
 
@@ -168,7 +166,7 @@ def _linearize(problem: ProblemInstance, run: _Run, agents=None) -> _Linearizati
 
     Only agents not solved at the iterate yet are asked, in the order given.  A response
     row is the agent's own row if its token is unchanged, else the one held.  ``ybar``
-    and both gaps are filled at the first request for every agent (None)."""
+    and ``beta`` are filled at the first request for every agent (None)."""
     n, lin, rows = problem.n_agents, run.lin, run.rows
     if lin is None:
         y, tokens = rows_aggregate(problem, rows), np.fromiter(run.profile.decisions, object, n)
@@ -183,11 +181,8 @@ def _linearize(problem: ProblemInstance, run: _Run, agents=None) -> _Linearizati
         run.held.hold(moved, lin.tokens[moved])
         lin.delta[moved] = run.held.rows[moved] - rows[moved]
     if agents is None and lin.ybar is None:
-        y, grad = lin.y, lin.grad
-        lin.ybar = Aggregate(y.values + sequential_sum(lin.delta) / n, problem.block_dims)
-        responses = np.where(lin.moved[:, None], run.held.rows, rows)
-        lin.beta_rows = dual_gap_beta(problem, y, rows_aggregate(problem, responses), grad=grad)
-        lin.beta = dual_gap_beta(problem, y, lin.ybar, grad=grad)
+        lin.ybar = Aggregate(lin.y.values + sequential_sum(lin.delta) / n, problem.block_dims)
+        lin.beta = dual_gap_beta(problem, lin.y, lin.ybar, grad=lin.grad)
     return lin
 
 
@@ -321,7 +316,12 @@ def sfw_run(
              for k in range(n_iters)]
 
     def step(k, run, stream):
-        beta = _linearize(problem, run).beta_rows if closed_loop else None  # the step reuses it
+        lin = _linearize(problem, run) if closed_loop else None  # the step reuses it
+        # Once per iterate: beta from the mean response row, the form the recorded step sizes pin.
+        if lin is not None and lin.beta_rows is None:
+            ybar = rows_aggregate(problem, np.where(lin.moved[:, None], run.held.rows, run.rows))
+            lin.beta_rows = dual_gap_beta(problem, lin.y, ybar, grad=lin.grad)
+        beta = None if lin is None else lin.beta_rows
         return sfw_step(problem, run.profile, k, rule.omega(k, beta=beta), sizes[k], stream,
                         keep_if_worse=keep_if_worse, run=run)[1]
 

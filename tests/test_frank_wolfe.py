@@ -59,6 +59,11 @@ class TestStepRules:
         assert rule.omega(0, beta=3.0) == 1.0
         assert rule.omega(0, beta=1.0) == 0.0
 
+    @pytest.mark.parametrize("c1", [-1.0, math.nan, math.inf])
+    def test_sfw_rule_rejects_a_bad_curvature_constant(self, c1):
+        with pytest.raises(ValueError, match="curvature constant must be nonnegative and finite"):
+            LineSearchSfwStep(c1, 10)
+
     def test_rules_stay_in_unit_interval(self):
         gen = np.random.default_rng(0)
         sfw = LineSearchSfwStep(c1=3.0, n_agents=7)

@@ -14,7 +14,7 @@ from aggfw.bounds import (
     sfw_tail,
     sfw_tail_constants,
 )
-from aggfw.frank_wolfe import fw_run, fw_with_selection
+from aggfw.frank_wolfe import LineSearchSfwStep, fw_run, fw_with_selection
 from aggfw.measures import DiscreteMeasure, MeasureProfile, contribution_variance, select_best
 from aggfw.miqp import reference_relaxed_optimum
 from aggfw.oracles import mc_check_bernoulli_increment
@@ -91,6 +91,7 @@ SITES = {
             p, MeasureProfile.dirac(zero_gradient_profile(p)), v, _rng.stream(0)
         ),
     ),
+    "LineSearchSfwStep.n_agents": ("n_agents", 1, lambda p, v: LineSearchSfwStep(1.0, v)),
     "fw_with_selection.n_select": ("n_select", 1, lambda p, v: fw_with_selection(p, 2, v, 0)),
     "d_of_k.k": ("k", 1, lambda p, v: compute_constants(p).d_of_k(v)),
     "sample_size_for_confidence.k": (

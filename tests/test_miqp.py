@@ -58,7 +58,9 @@ class TestGenerate:
     @pytest.mark.parametrize("matrix, target, message", [
         (np.ones(3), np.ones(3), r"matrix must be \(M, N\) with a length-M target"),
         (np.ones((2, 3)), np.array([1.0, np.nan]), "instance data must be finite"),
-    ], ids=["1-d-matrix", "nan-target"])
+        (np.zeros((0, 3)), np.zeros(0), r"matrix must be \(M, N\) with a length-M target"),
+        (np.zeros((2, 0)), np.zeros(2), r"matrix must be \(M, N\) with a length-M target"),
+    ], ids=["1-d-matrix", "nan-target", "no-blocks", "no-agents"])
     def test_constructor_rejects_malformed_data(self, matrix, target, message):
         with pytest.raises(ValueError, match=message):
             aggfw.MiqpInstance(matrix, target)

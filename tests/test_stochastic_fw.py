@@ -491,7 +491,7 @@ class TestHeldResponseRows:
                     nxt = stopping_time_step(problem, profile, k, canonical.omega(k), stream,
                                              max_draws=20, run=run).decisions
                 else:
-                    beta = _linearize(problem, run).beta_rows if solver == "ls-sfw" else None
+                    beta = _rows_gap(problem, run) if solver == "ls-sfw" else None
                     omega = (closed_loop.omega(k, beta=beta) if solver == "ls-sfw"
                              else canonical.omega(k))
                     nxt, _ = sfw_step(problem, profile, k, omega, n_draws, stream,
@@ -502,6 +502,13 @@ class TestHeldResponseRows:
             assert (held.tokens[moved] == lin.tokens[moved]).all()
             assert _same_bits(held.rows[moved],
                               contribution_rows(problem, moved, lin.tokens[moved]))
+
+
+def _rows_gap(problem, run):
+    """The gap the closed-loop step reads at ``run``'s iterate, rebuilt independently: from
+    ``y`` to the aggregate of the best-response profile."""
+    lin = _linearize(problem, run)
+    return dual_gap_beta(problem, lin.y, aggregate_of(problem, DecisionProfile(lin.tokens)))
 
 
 def _bits(records):
@@ -521,7 +528,7 @@ def _reference_sfw(problem, n_iters, schedule, seed, rule, keep_if_worse, use_ac
         n_draws = schedule.size(k, problem.n_agents)
         if closed_loop or not use_active_set:
             run = _Run(problem, profile, n_draws, full=True)
-            beta = _linearize(problem, run).beta_rows if closed_loop else None
+            beta = _rows_gap(problem, run) if closed_loop else None
         profile, record = sfw_step(
             problem, profile, k, rule.omega(k, beta=beta), n_draws,
             _rng.stream(seed, _rng.BERNOULLI, 0, k), keep_if_worse=keep_if_worse, run=run,
@@ -625,6 +632,57 @@ class TestOneSolvePerIterate:
         counting, calls = _asks_by_iterate(INSTANCES[name](seed % 1000), path, seed, n_draws,
                                            n_iters)
         assert counting.grads == len({id(profile) for profile, _ in calls}) <= n_iters
+
+
+class TestOneGapPerLinearization:
+    """``_linearize`` builds one dual gap, ``beta``.  Only ``sfw_run``'s closed-loop step
+    adds the rows-form gap its step sizes read, once per linearization: an iterate that
+    stays keeps both."""
+
+    def test_a_full_linearization_builds_beta_only(self, miqp_small):
+        lin = _linearize(miqp_small, _Run(miqp_small))
+        assert lin.ybar is not None and math.isfinite(lin.beta)
+        assert lin.beta_rows is None
+
+    @staticmethod
+    def gaps_and_linearizations(problem, path, n_iters, seed):
+        built, gaps = [], []
+        linearize, gap = stochastic_fw._linearize, stochastic_fw.dual_gap_beta
+
+        def watched(*args):
+            built.append(linearize(*args))
+            return built[-1]
+
+        def counted(*args, **kwargs):
+            gaps.append(args)
+            return gap(*args, **kwargs)
+
+        with mock.patch.object(stochastic_fw, "_linearize", watched), \
+                mock.patch.object(stochastic_fw, "dual_gap_beta", counted):
+            if path == "stopping":
+                stopping_time_run(problem, n_iters, seed)
+            else:
+                rule = LineSearchSfwStep.from_constants(compute_constants(problem))
+                sfw_run(problem, n_iters, QuadraticSchedule(24.0), seed, rule=rule)
+        return len(gaps), len({id(lin) for lin in built})  # ``built`` keeps each one alive
+
+    def test_stopping_time_builds_one_gap_per_iteration(self, miqp_medium):
+        assert self.gaps_and_linearizations(miqp_medium, "stopping", 12, 3) == (12, 12)
+
+    def test_ls_sfw_builds_two_gaps_per_linearization_and_none_at_a_kept_iterate(
+        self, miqp_small
+    ):
+        gaps, linearizations = self.gaps_and_linearizations(miqp_small, "ls-sfw", 19, 0)
+        assert linearizations < 19  # some steps keep their iterate
+        assert gaps == 2 * linearizations
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(INSTANCES)), st.sampled_from(["ls-sfw", "stopping"]),
+           st.integers(0, 2**32 - 1), st.integers(1, 10))
+    def test_gaps_per_linearization(self, name, path, seed, n_iters):
+        problem = INSTANCES[name](seed % 1000)
+        gaps, linearizations = self.gaps_and_linearizations(problem, path, n_iters, seed)
+        assert gaps == (2 if path == "ls-sfw" else 1) * linearizations
 
 
 class FixedPoint(aggfw.MiqpInstance):
@@ -932,7 +990,16 @@ class TestOneAggregateSum:
         y = aggregate_of(problem, profile)
         assert lin.y.values.tobytes() == y.values.tobytes()
         ybar = aggregate_of(problem, DecisionProfile(lin.tokens))
-        assert repr(lin.beta_rows) == repr(dual_gap_beta(problem, y, ybar))
+        seen, omega = [], LineSearchSfwStep.omega
+
+        def spy(rule, k, beta, curvature=None):
+            seen.append(beta)
+            return omega(rule, k, beta, curvature)
+
+        with mock.patch.object(LineSearchSfwStep, "omega", spy):
+            sfw_run(problem, 1, ConstantSchedule(1), 0, rule=LineSearchSfwStep(1.0, n),
+                    initial=profile)
+        assert repr(seen) == repr([dual_gap_beta(problem, y, ybar)])  # the ls-sfw rule's beta
 
     def test_rejected_step_keeps_its_objective_at_one_dimension(self):
         broken = []
