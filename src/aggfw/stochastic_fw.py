@@ -311,6 +311,8 @@ def sfw_run(
     if not isinstance(rule, (CanonicalStep, LineSearchSfwStep)):
         raise ValueError(f"unsupported step rule for the stochastic solver: {rule!r}")
     closed_loop = isinstance(rule, LineSearchSfwStep)
+    if closed_loop and rule.n_agents != problem.n_agents:
+        raise ValueError(f"ls-sfw rule built for {rule.n_agents} agents, not {problem.n_agents}")
     n_iters = _count(n_iters, "n_iters")
     sizes = [_count(schedule.size(k, problem.n_agents), f"schedule size at iteration {k}")
              for k in range(n_iters)]

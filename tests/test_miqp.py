@@ -1,9 +1,13 @@
 import copy
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import aggfw
 from aggfw import rng as _rng
@@ -28,6 +32,25 @@ def enumerate_box_optimum(instance):
             x[free] = np.clip(sol, 0.0, 1.0)
         best = min(best, instance.box_objective(x))
     return best
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Entries of both signs, 0, 1 and -1 drawn often; zero columns come with them.
+ENTRIES = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-10.0, 10.0, allow_subnormal=False)
+# The same without magnitudes below 1e-3: scaled by 2^-60, no product falls to the subnormal
+# range, where rounding does not scale.
+SCALABLE = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
+
+
+@st.composite
+def small_instances(draw, entries=ENTRIES):
+    """An instance with M <= 4 and N <= 8; the target's entries are N times larger."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    matrix = draw(hnp.arrays(float, (m, n), elements=entries))
+    target = draw(hnp.arrays(float, m, elements=entries.map(lambda v: v * n)))
+    return aggfw.MiqpInstance(matrix, target)
 
 
 class TestGenerate:
@@ -170,16 +193,74 @@ class TestReferenceSolver:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             reference_relaxed_optimum(miqp_small, tol=tol, max_iters=10)
 
-    def test_iteration_cap_reports_residual(self, miqp_small):
-        with pytest.raises(ReferenceSolverError) as info:
-            reference_relaxed_optimum(miqp_small, tol=1e-14, max_iters=2)
-        assert info.value.residual > 1e-14
-
-    def test_a_polish_that_leaves_the_optimum_reports_its_residual(self, miqp_small, monkeypatch):
-        monkeypatch.setattr(aggfw.miqp, "_polish_on_face", lambda instance, x: np.zeros_like(x))
-        with pytest.raises(ReferenceSolverError, match="polished point has residual") as info:
-            reference_relaxed_optimum(miqp_small, tol=1e-9)
+    def test_pivot_cap_reports_residual(self, miqp_small):
+        # This instance needs two pivots after the 32 warm steps; one is too few.
+        assert reference_relaxed_optimum(miqp_small, max_iters=2).iterations == 32 + 2
+        with pytest.raises(ReferenceSolverError, match="after 1 of 1 pivots") as info:
+            reference_relaxed_optimum(miqp_small, max_iters=1)
         assert info.value.residual > 1e-9
+
+    def test_a_point_above_tol_reports_its_residual(self):
+        instance = aggfw.generate(12, 6, seed=1)
+        residual = instance.relaxed_optimum(tol=1e-9).residual
+        assert 0.0 < residual < 1e-15  # rounding in the gradient of a free variable
+        message = f"stopped at residual {residual:.3e}"
+        with pytest.raises(ReferenceSolverError, match=message) as info:
+            reference_relaxed_optimum(instance, tol=residual / 2)
+        assert info.value.residual == residual
+
+    @pytest.mark.parametrize("instance, tol, value", [
+        ((100, 1000, 0), 1e-7, "0x1.ab1ac26245569p+0"),  # fw-select's instance
+        ((100, 100, 0), 1e-7, "0x1.0c2f860aeb4b9p+1"),  # the paper's size
+        ("tiny", 1e-9, "0x1.d66a9cd56f459p-8"),  # the CLI goldens' instance
+    ], ids=["100x1000", "100x100", "tiny"])
+    def test_value_bits(self, instance, tol, value):
+        # The values the accelerated loop and its face polish returned before the pivots
+        # replaced them, under OpenBLAS's SkylakeX kernel as the other bit pins are.
+        problem = (aggfw.load_instance(str(GOLDEN / "tiny.json")) if instance == "tiny"
+                   else aggfw.generate(*instance))
+        assert problem.relaxed_optimum(tol=tol).value.hex() == value
+
+    @staticmethod
+    def scaled(instance, k):
+        return aggfw.MiqpInstance(np.ldexp(instance.matrix, k), np.ldexp(instance.target, k))
+
+    @staticmethod
+    def scaled_solve(instance, k):
+        # A free variable's residual is its gradient, which scales by 4^k, so tol does too;
+        # below k = 0 the residual is x's rounding, which does not scale.
+        return instance.relaxed_optimum(tol=1e-7 * max(1.0, 4.0**k))
+
+    def test_scaling_by_a_power_of_two_keeps_every_bit(self):
+        base = aggfw.generate(20, 60, seed=0)
+        expected = base.relaxed_optimum(tol=1e-7)
+        for k in range(-160, 161, 20):
+            ref = self.scaled_solve(self.scaled(base, k), k)
+            assert np.ldexp(ref.value, -2 * k).hex() == expected.value.hex()
+            assert ref.point.tobytes() == expected.point.tobytes()
+            assert ref.iterations == expected.iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_instances(SCALABLE), st.integers(-60, 60))
+    def test_scaling_small_instances_keeps_every_bit(self, instance, k):
+        expected = instance.relaxed_optimum(tol=1e-7)
+        ref = self.scaled_solve(self.scaled(instance, k), k)
+        assert np.ldexp(ref.value, -2 * k).hex() == expected.value.hex()
+        assert ref.point.tobytes() == expected.point.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_instances())
+    def test_small_instances_match_face_enumeration_and_kkt(self, instance):
+        ref = reference_relaxed_optimum(instance, tol=1e-7, max_iters=100)
+        a, target, n = instance.matrix, instance.target, instance.n_agents
+        scale = (np.linalg.norm(np.abs(a).sum(axis=1)) + np.linalg.norm(target)) ** 2 / n**2
+        assert ref.value == pytest.approx(enumerate_box_optimum(instance), rel=1e-9,
+                                          abs=1e-12 * scale)
+        x, grad, slack = ref.point, instance.box_gradient(ref.point), 1e-9 * scale
+        assert ((x >= 0.0) & (x <= 1.0)).all()
+        assert (grad[x == 0.0] >= -slack).all()  # a variable at 0 is not pulled up
+        assert (grad[x == 1.0] <= slack).all()  # nor one at 1 pulled down
+        assert (np.abs(grad[(x > 0.0) & (x < 1.0)]) <= slack).all()  # a free one is stationary
 
 
 class TestSerialization:

@@ -231,6 +231,14 @@ class TestSfwRun:
         assert counting.calls <= 8 * n
         assert counting.grads == runs[-1] + 1 == 2  # one gradient per run of equal gradients
 
+    @pytest.mark.parametrize("n_agents", [9, 1000])
+    def test_rejects_a_line_search_rule_built_for_another_agent_count(self, miqp_small, n_agents):
+        # The rule's step size reads its N: one built for 1000 agents would step silently
+        # with omega 0.2138 where this 10-agent instance's rule steps with 0.1823.
+        rule = LineSearchSfwStep(compute_constants(miqp_small).c1, n_agents)
+        with pytest.raises(ValueError, match=f"ls-sfw rule built for {n_agents} agents, not 10"):
+            sfw_run(miqp_small, 5, ConstantSchedule(1), seed=0, rule=rule)
+
     def test_rejects_fw_line_search_rule(self, miqp_small):
         with pytest.raises(ValueError, match="rule"):
             sfw_run(miqp_small, 5, ConstantSchedule(1), seed=0, rule=LineSearchFwStep())
